@@ -1,13 +1,12 @@
-//! Criterion benches for the incremental fast path: cold vs. parallel vs.
-//! checkpointed scanning, CSR vs. BTreeMap edge lookup, and the windowed
+//! Criterion benches for the fast path: cold vs. checkpointed scanning, CSR vs. BTreeMap edge lookup, and the windowed
 //! check with a persistent scratch.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fg_cfg::{EdgeIdx, ItcCfg, OCfg};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
-use fg_ipt::{fast, IncrementalScanner};
-use flowguard::{fastpath, scan_parallel, CheckScratch, FlowGuardConfig};
+use fg_ipt::{fast, StreamConsumer};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig, PhaseSpan};
 use std::collections::{BTreeMap, HashSet};
 
 struct Setup {
@@ -44,18 +43,18 @@ fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
     g.throughput(Throughput::Bytes(s.trace.len() as u64));
     g.bench_function("cold_full", |b| b.iter(|| fast::scan(&s.trace).expect("scan")));
-    g.bench_function("parallel", |b| b.iter(|| scan_parallel(&s.trace).expect("scan")));
-    // Incremental replay: feed the trace in 4 KiB appends, as the engine
+    // Checkpointed replay: drain the trace in 4 KiB appends, as the engine
     // sees it between endpoint checks.
-    g.bench_function("incremental_4k_appends", |b| {
+    g.bench_function("checkpointed_4k_appends", |b| {
         b.iter(|| {
-            let mut inc = IncrementalScanner::new();
+            let mut c = StreamConsumer::new();
             let mut end = 0usize;
             while end < s.trace.len() {
                 end = (end + 4096).min(s.trace.len());
-                inc.advance(&s.trace[..end], end as u64, end).expect("advance");
+                c.drain(&[&s.trace[..end]], end as u64, usize::MAX, PhaseSpan::FastScan)
+                    .expect("drain");
             }
-            inc.scan().tip_count()
+            c.scan().tip_count()
         });
     });
     g.finish();

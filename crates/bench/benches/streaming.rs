@@ -1,12 +1,12 @@
-//! Criterion benches for the streaming pipeline: scalar vs. vectorized vs.
-//! chunked-parallel scan throughput, the frontier compare of a fully
+//! Criterion benches for the streaming pipeline: scalar vs. vectorized scan
+//! throughput, the frontier compare of a fully
 //! drained consumer, and a chunked streaming drain replay.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, StreamConsumer};
-use flowguard::scan_parallel;
+use flowguard::PhaseSpan;
 
 fn bench_trace() -> Vec<u8> {
     let w = fg_workloads::nginx_patched();
@@ -26,7 +26,6 @@ fn bench_scan_variants(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(trace.len() as u64));
     g.bench_function("scalar", |b| b.iter(|| fast::scan(&trace).expect("scan")));
     g.bench_function("vectorized", |b| b.iter(|| fast::scan_vectorized(&trace).expect("scan")));
-    g.bench_function("parallel", |b| b.iter(|| scan_parallel(&trace).expect("scan")));
     g.finish();
 }
 
@@ -43,7 +42,9 @@ fn bench_streaming_drain(c: &mut Criterion) {
             let mut end = 0usize;
             while end < trace.len() {
                 end = (end + 4096).min(trace.len());
-                stream.drain(&trace[..end], end as u64).expect("drain");
+                stream
+                    .drain(&[&trace[..end]], end as u64, usize::MAX, PhaseSpan::StreamDrain)
+                    .expect("drain");
             }
             stream.scan().tip_count()
         });
@@ -52,7 +53,7 @@ fn bench_streaming_drain(c: &mut Criterion) {
 
     // The degenerate fully-drained endpoint check: one frontier compare.
     let mut stream = StreamConsumer::new();
-    stream.drain(&trace, total).expect("drain");
+    stream.drain(&[&trace], total, usize::MAX, PhaseSpan::StreamDrain).expect("drain");
     assert_eq!(stream.residue(total), 0);
     c.bench_function("frontier_compare", |b| {
         b.iter(|| stream.residue(std::hint::black_box(total)));

@@ -2,7 +2,7 @@
 //!
 //! Prints the fast-path metric table, writes `BENCH_fastpath.json` to the
 //! working directory, and — with `--check-baseline <path>` — exits non-zero
-//! if any hardware-independent ratio regressed by more than 2x against the
+//! if any hardware-independent figure regressed by more than 2x against the
 //! checked-in baseline. CI runs this as the smoke-bench gate.
 
 use fg_bench::experiments::fastpath;
@@ -29,31 +29,7 @@ fn main() {
     }
 
     let current = fastpath::run();
-    let mut t = fg_bench::table::Table::new(&["metric", "value"]);
-    t.row(vec!["serial scan MiB/s".into(), fg_bench::table::fmt(current.scan_mib_per_sec, 1)]);
-    t.row(vec![
-        "parallel scan MiB/s".into(),
-        fg_bench::table::fmt(current.parallel_scan_mib_per_sec, 1),
-    ]);
-    t.row(vec!["pairs checked / s".into(), fg_bench::table::fmt(current.pairs_per_sec, 0)]);
-    t.row(vec!["edge lookup (CSR) ns".into(), fg_bench::table::fmt(current.edge_lookup_ns, 1)]);
-    t.row(vec![
-        "edge lookup (BTreeMap) ns".into(),
-        fg_bench::table::fmt(current.edge_lookup_ns_btreemap, 1),
-    ]);
-    t.row(vec!["edge lookup speedup".into(), fg_bench::table::fmt(current.edge_lookup_speedup, 2)]);
-    t.row(vec!["endpoint check ns".into(), fg_bench::table::fmt(current.endpoint_check_ns, 0)]);
-    t.row(vec![
-        "bytes/check incremental".into(),
-        fg_bench::table::fmt(current.bytes_per_check_incremental, 1),
-    ]);
-    t.row(vec![
-        "bytes/check cold rescan".into(),
-        fg_bench::table::fmt(current.bytes_per_check_cold, 1),
-    ]);
-    t.row(vec!["bytes/check ratio".into(), fg_bench::table::fmt(current.bytes_per_check_ratio, 4)]);
-    t.row(vec!["edge-cache hit rate".into(), fg_bench::table::fmt(current.edge_cache_hit_rate, 3)]);
-    t.print("Fast-path micro-benchmarks");
+    fastpath::print_table(&current);
 
     if let Err(e) = fastpath::write_json(&current, fastpath::JSON_PATH) {
         eprintln!("failed to write {}: {e}", fastpath::JSON_PATH);

@@ -3,8 +3,8 @@
 //! Prints the streaming metric table, writes `BENCH_streaming.json` to the
 //! working directory, and — with `--check-baseline <path>` — exits non-zero
 //! if any gated metric regressed by more than 2x against the checked-in
-//! baseline (or violates an absolute floor: parallel scan must not lose to
-//! serial, the residue p50 must stay under 32 bytes, the drain path must
+//! baseline (or violates an absolute floor: the residue p50 must stay
+//! under 32 bytes, the drain path must
 //! copy fewer than 4 bytes per drained KiB, and the dedicated consumer's
 //! residue p99 must stay strictly below the poll-slot baseline). CI runs
 //! this as part of the smoke-bench gate.

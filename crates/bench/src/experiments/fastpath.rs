@@ -1,21 +1,21 @@
 //! **Fast-path micro-benchmarks** — scan throughput, edge-lookup latency,
-//! endpoint-check latency, and the incremental scanner's bytes-per-check.
+//! endpoint-check latency, and the checkpointed consumer's bytes-per-check.
 //!
 //! Beyond the paper's simulated cycle accounting, this experiment measures
 //! the *harness's own* fast-path hot loops in wall-clock time and emits the
 //! numbers as `BENCH_fastpath.json`, which CI tracks against a checked-in
-//! baseline. Hardware-independent ratios (incremental vs. cold bytes per
-//! check, CSR vs. BTreeMap lookup speedup, edge-cache hit rate) are the
-//! regression-gated metrics; the absolute throughputs are informational.
+//! baseline. Hardware-independent figures (bytes scanned per check, CSR vs.
+//! BTreeMap lookup speedup, edge-cache hit rate) are the regression-gated
+//! metrics; the absolute throughputs are informational.
 
 use crate::table::{fmt, Table};
 use fg_cfg::EdgeIdx;
 use fg_cpu::CostModel;
 use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
-use fg_ipt::{fast, IncrementalScanner};
-use fg_trace::HistogramSnapshot;
-use flowguard::{fastpath, scan_parallel, CheckScratch, FlowGuardConfig};
+use fg_ipt::{fast, StreamConsumer};
+use fg_trace::{HistogramSnapshot, PhaseSpan};
+use flowguard::{fastpath, CheckScratch, FlowGuardConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
@@ -28,8 +28,6 @@ pub const JSON_PATH: &str = "BENCH_fastpath.json";
 pub struct FastpathBench {
     /// Serial packet-scan throughput, MiB of trace per second.
     pub scan_mib_per_sec: f64,
-    /// PSB-parallel scan throughput on the worker pool, MiB per second.
-    pub parallel_scan_mib_per_sec: f64,
     /// TIP pairs checked per second through the windowed fast path.
     pub pairs_per_sec: f64,
     /// One ITC-CFG edge lookup through the interned CSR tables, in ns.
@@ -41,14 +39,10 @@ pub struct FastpathBench {
     pub edge_lookup_speedup: f64,
     /// One windowed endpoint check (scan already advanced), in ns.
     pub endpoint_check_ns: f64,
-    /// Mean trace bytes scanned per endpoint check with the checkpointed
-    /// incremental scanner (a protected nginx run).
+    /// Mean trace bytes scanned per endpoint check by the checkpointed
+    /// consumer (a protected nginx run; lower is better; deterministic,
+    /// hardware-independent).
     pub bytes_per_check_incremental: f64,
-    /// The same run in cold-rescan reference mode.
-    pub bytes_per_check_cold: f64,
-    /// `bytes_per_check_incremental / bytes_per_check_cold` (lower is
-    /// better; deterministic, hardware-independent).
-    pub bytes_per_check_ratio: f64,
     /// Direct-mapped edge-cache hit rate over the protected run.
     pub edge_cache_hit_rate: f64,
     /// Distribution of simulated per-check latency (cycles) over the
@@ -59,7 +53,7 @@ pub struct FastpathBench {
     /// Distribution of simulated fast-path scan cycles per check.
     #[serde(default)]
     pub scan_cycles_dist: HistogramSnapshot,
-    /// Distribution of trace bytes scanned per check (incremental mode).
+    /// Distribution of trace bytes scanned per check.
     #[serde(default)]
     pub bytes_per_check_dist: HistogramSnapshot,
 }
@@ -110,20 +104,15 @@ fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
 
 /// A protected nginx run's full telemetry snapshot (drives bytes-per-check,
 /// cache hit rate, and the latency-distribution columns).
-fn protected_telemetry(incremental: bool) -> flowguard::TelemetrySnapshot {
+fn protected_telemetry() -> flowguard::TelemetrySnapshot {
     let w = fg_workloads::nginx_patched();
     let d = crate::measure::trained_deployment(&w);
-    let cfg = FlowGuardConfig { incremental_scan: incremental, ..Default::default() };
-    let mut p = d.launch(&w.default_input, cfg);
+    let mut p = d.launch(&w.default_input, FlowGuardConfig::default());
     let stop = p.run(crate::measure::BUDGET);
     assert!(matches!(stop, fg_cpu::StopReason::Exited(0)), "benign run must exit: {stop:?}");
     let t = p.stats.telemetry_snapshot();
     assert!(t.checks > 0, "protected run must hit endpoints");
     t
-}
-
-fn bytes_per_check(t: &flowguard::TelemetrySnapshot) -> f64 {
-    t.bytes_scanned as f64 / t.checks as f64
 }
 
 /// Runs the whole measurement.
@@ -132,7 +121,6 @@ pub fn run() -> FastpathBench {
     let mib = s.trace.len() as f64 / (1024.0 * 1024.0);
 
     let scan_sec = time_per_iter(20, || fast::scan(&s.trace).expect("scan"));
-    let par_sec = time_per_iter(20, || scan_parallel(&s.trace).expect("parallel scan"));
 
     // Edge lookups: the runtime pair stream, through both representations.
     let pairs: Vec<(u64, u64)> =
@@ -167,62 +155,59 @@ pub fn run() -> FastpathBench {
         r
     });
 
-    // Deterministic bytes-per-check comparison on a protected run.
-    let t_inc = protected_telemetry(true);
-    let t_cold = protected_telemetry(false);
-    let (bpc_inc, bpc_cold) = (bytes_per_check(&t_inc), bytes_per_check(&t_cold));
-    let lookups = t_inc.edge_cache_hits + t_inc.edge_cache_misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { t_inc.edge_cache_hits as f64 / lookups as f64 };
+    // Deterministic bytes-per-check figure on a protected run.
+    let t = protected_telemetry();
+    let lookups = t.edge_cache_hits + t.edge_cache_misses;
+    let hit_rate = if lookups == 0 { 0.0 } else { t.edge_cache_hits as f64 / lookups as f64 };
 
-    // One sanity pass of the incremental scanner over the bench trace, so a
-    // broken checkpoint path fails the bench loudly rather than silently
-    // producing numbers for the wrong code.
-    let mut inc = IncrementalScanner::new();
-    inc.advance(&s.trace, s.trace.len() as u64, s.trace.len()).expect("incremental");
-    assert_eq!(inc.scan().tip_events(), s.scan.tip_events(), "incremental != cold scan");
+    // One sanity pass of the consumer over the bench trace, so a broken
+    // checkpoint path fails the bench loudly rather than silently producing
+    // numbers for the wrong code.
+    let mut c = StreamConsumer::new();
+    c.drain(&[&s.trace], s.trace.len() as u64, usize::MAX, PhaseSpan::FastScan).expect("drain");
+    assert_eq!(c.scan().tip_events(), s.scan.tip_events(), "consumer != cold scan");
 
     FastpathBench {
         scan_mib_per_sec: mib / scan_sec,
-        parallel_scan_mib_per_sec: mib / par_sec,
         pairs_per_sec: pairs_checked as f64 / check_sec,
         edge_lookup_ns: per_lookup,
         edge_lookup_ns_btreemap: per_lookup_map,
         edge_lookup_speedup: per_lookup_map / per_lookup,
         endpoint_check_ns: check_sec * 1e9,
-        bytes_per_check_incremental: bpc_inc,
-        bytes_per_check_cold: bpc_cold,
-        bytes_per_check_ratio: bpc_inc / bpc_cold,
+        bytes_per_check_incremental: t.bytes_scanned as f64 / t.checks as f64,
         edge_cache_hit_rate: hit_rate,
-        check_cycles_dist: t_inc.check_latency,
-        scan_cycles_dist: t_inc.fastpath_scan_cycles,
-        bytes_per_check_dist: t_inc.bytes_per_check,
+        check_cycles_dist: t.check_latency,
+        scan_cycles_dist: t.fastpath_scan_cycles,
+        bytes_per_check_dist: t.bytes_per_check,
     }
 }
 
 /// Prints the table and writes `BENCH_fastpath.json`.
 pub fn print() {
     let b = run();
+    print_table(&b);
+    match write_json(&b, JSON_PATH) {
+        Ok(()) => println!("\nwrote {JSON_PATH}"),
+        Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
+    }
+}
+
+/// Prints the metric table for a measurement.
+pub fn print_table(b: &FastpathBench) {
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["serial scan MiB/s".into(), fmt(b.scan_mib_per_sec, 1)]);
-    t.row(vec!["parallel scan MiB/s".into(), fmt(b.parallel_scan_mib_per_sec, 1)]);
     t.row(vec!["pairs checked / s".into(), fmt(b.pairs_per_sec, 0)]);
     t.row(vec!["edge lookup (CSR) ns".into(), fmt(b.edge_lookup_ns, 1)]);
     t.row(vec!["edge lookup (BTreeMap) ns".into(), fmt(b.edge_lookup_ns_btreemap, 1)]);
     t.row(vec!["edge lookup speedup".into(), fmt(b.edge_lookup_speedup, 2)]);
     t.row(vec!["endpoint check ns".into(), fmt(b.endpoint_check_ns, 0)]);
-    t.row(vec!["bytes/check incremental".into(), fmt(b.bytes_per_check_incremental, 1)]);
-    t.row(vec!["bytes/check cold rescan".into(), fmt(b.bytes_per_check_cold, 1)]);
-    t.row(vec!["bytes/check ratio".into(), fmt(b.bytes_per_check_ratio, 4)]);
+    t.row(vec!["bytes/check".into(), fmt(b.bytes_per_check_incremental, 1)]);
     t.row(vec!["edge-cache hit rate".into(), fmt(b.edge_cache_hit_rate, 3)]);
     let d = &b.check_cycles_dist;
     t.row(vec!["check cycles p50/p90/p99".into(), format!("{}/{}/{}", d.p50, d.p90, d.p99)]);
     let d = &b.bytes_per_check_dist;
     t.row(vec!["bytes/check p50/p90/p99".into(), format!("{}/{}/{}", d.p50, d.p90, d.p99)]);
     t.print("Fast-path micro-benchmarks (BENCH_fastpath.json)");
-    match write_json(&b, JSON_PATH) {
-        Ok(()) => println!("\nwrote {JSON_PATH}"),
-        Err(e) => eprintln!("\nfailed to write {JSON_PATH}: {e}"),
-    }
 }
 
 /// Serialises a measurement to `path`.
@@ -232,16 +217,16 @@ pub fn write_json(b: &FastpathBench, path: &str) -> std::io::Result<()> {
 }
 
 /// Compares `current` against a baseline, returning every metric that
-/// regressed by more than `factor`. Only hardware-independent ratios are
-/// gated: throughput and latency absolutes vary across machines, the ratios
-/// do not.
+/// regressed by more than `factor`. Only hardware-independent figures are
+/// gated: throughput and latency absolutes vary across machines, bytes per
+/// check and the ratios do not.
 pub fn regressions(current: &FastpathBench, baseline: &FastpathBench, factor: f64) -> Vec<String> {
     let mut out = Vec::new();
     // Lower is better.
-    if current.bytes_per_check_ratio > baseline.bytes_per_check_ratio * factor {
+    if current.bytes_per_check_incremental > baseline.bytes_per_check_incremental * factor {
         out.push(format!(
-            "bytes_per_check_ratio regressed: {:.4} vs baseline {:.4}",
-            current.bytes_per_check_ratio, baseline.bytes_per_check_ratio
+            "bytes_per_check_incremental regressed: {:.1} vs baseline {:.1}",
+            current.bytes_per_check_incremental, baseline.bytes_per_check_incremental
         ));
     }
     // Higher is better.
@@ -268,21 +253,18 @@ mod tests {
     fn json_roundtrip() {
         let b = FastpathBench {
             scan_mib_per_sec: 100.0,
-            parallel_scan_mib_per_sec: 200.0,
             pairs_per_sec: 1e6,
             edge_lookup_ns: 20.0,
             edge_lookup_ns_btreemap: 80.0,
             edge_lookup_speedup: 4.0,
             endpoint_check_ns: 3000.0,
             bytes_per_check_incremental: 120.0,
-            bytes_per_check_cold: 40_000.0,
-            bytes_per_check_ratio: 0.003,
             edge_cache_hit_rate: 0.9,
             ..Default::default()
         };
         let s = serde_json::to_string(&b).unwrap();
         let r: FastpathBench = serde_json::from_str(&s).unwrap();
-        assert!((r.bytes_per_check_ratio - b.bytes_per_check_ratio).abs() < 1e-12);
+        assert!((r.bytes_per_check_incremental - b.bytes_per_check_incremental).abs() < 1e-12);
         assert!(regressions(&b, &b, 2.0).is_empty());
     }
 
@@ -303,20 +285,17 @@ mod tests {
     fn regressions_flag_worse_ratios() {
         let base = FastpathBench {
             scan_mib_per_sec: 1.0,
-            parallel_scan_mib_per_sec: 1.0,
             pairs_per_sec: 1.0,
             edge_lookup_ns: 1.0,
             edge_lookup_ns_btreemap: 4.0,
             edge_lookup_speedup: 4.0,
             endpoint_check_ns: 1.0,
             bytes_per_check_incremental: 1.0,
-            bytes_per_check_cold: 100.0,
-            bytes_per_check_ratio: 0.01,
             edge_cache_hit_rate: 0.8,
             ..Default::default()
         };
         let mut bad = base.clone();
-        bad.bytes_per_check_ratio = 0.05;
+        bad.bytes_per_check_incremental = 5.0;
         bad.edge_lookup_speedup = 1.0;
         let r = regressions(&bad, &base, 2.0);
         assert_eq!(r.len(), 2, "{r:?}");

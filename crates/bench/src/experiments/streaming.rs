@@ -1,20 +1,20 @@
-//! **Streaming-pipeline benchmarks** — serial vs vectorized vs parallel
+//! **Streaming-pipeline benchmarks** — scalar vs vectorized vs segmented
 //! scan throughput, the frontier-compare cost of a fully-drained check, and
 //! the residue bytes left for the check path when the background consumer
 //! keeps up.
 //!
 //! Emits `BENCH_streaming.json`, tracked in CI against a checked-in
 //! baseline. As with `BENCH_fastpath.json`, absolute throughputs are
-//! informational; the gated metrics are same-machine ratios (vectorized and
-//! parallel speedup over the scalar scanner) and the deterministic residue
-//! distribution of a protected streaming run.
+//! informational; the gated metrics are same-machine ratios (vectorized
+//! speedup over the scalar scanner, segmented vs vectorized) and the
+//! deterministic residue distribution of a protected streaming run.
 
 use crate::table::{fmt, Table};
 use fg_cpu::{IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
 use fg_ipt::{fast, StreamConsumer};
-use fg_trace::HistogramSnapshot;
-use flowguard::{scan_parallel, FlowGuardConfig};
+use fg_trace::{HistogramSnapshot, PhaseSpan};
+use flowguard::FlowGuardConfig;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -28,13 +28,8 @@ pub struct StreamingBench {
     pub scan_mib_per_sec: f64,
     /// Vectorized (SWAR + table-driven TNT) scan throughput, MiB/s.
     pub vectorized_scan_mib_per_sec: f64,
-    /// Chunked parallel scan throughput on the worker pool, MiB/s.
-    pub parallel_scan_mib_per_sec: f64,
     /// `vectorized / scalar` (same machine, same trace; higher is better).
     pub vectorized_speedup: f64,
-    /// `parallel / scalar` (must stay ≥ 1: the fan-out may never lose to
-    /// the serial scan it replaces).
-    pub parallel_speedup: f64,
     /// Cost of the degenerate fully-drained check: one frontier compare
     /// (`StreamConsumer::residue`) in ns.
     pub frontier_compare_ns: f64,
@@ -124,7 +119,6 @@ pub fn run() -> StreamingBench {
 
     let scalar_sec = time_per_iter(20, || fast::scan(&trace).expect("scan"));
     let vec_sec = time_per_iter(20, || fast::scan_vectorized(&trace).expect("vectorized scan"));
-    let par_sec = time_per_iter(20, || scan_parallel(&trace).expect("parallel scan"));
     let seg_sec =
         time_per_iter(20, || fast::scan_vectorized_segments(&segs).expect("segmented scan"));
 
@@ -133,7 +127,7 @@ pub fn run() -> StreamingBench {
     // left.
     let mut stream = StreamConsumer::new();
     let total = trace.len() as u64;
-    stream.drain(&trace, total).expect("drain");
+    stream.drain(&segs, total, usize::MAX, PhaseSpan::StreamDrain).expect("drain");
     assert_eq!(stream.residue(total), 0, "bench trace must drain fully");
     let compare_sec = time_per_iter(100_000, || stream.residue(std::hint::black_box(total)));
 
@@ -162,9 +156,7 @@ pub fn run() -> StreamingBench {
     StreamingBench {
         scan_mib_per_sec: mib / scalar_sec,
         vectorized_scan_mib_per_sec: mib / vec_sec,
-        parallel_scan_mib_per_sec: mib / par_sec,
         vectorized_speedup: scalar_sec / vec_sec,
-        parallel_speedup: scalar_sec / par_sec,
         frontier_compare_ns: compare_sec * 1e9,
         residue_bytes_per_check_p50: t.frontier_lag.p50,
         residue_bytes_per_check_p99: t.frontier_lag.p99,
@@ -197,10 +189,8 @@ pub fn print_table(b: &StreamingBench) {
     let mut t = Table::new(&["metric", "value"]);
     t.row(vec!["scalar scan MiB/s".into(), fmt(b.scan_mib_per_sec, 1)]);
     t.row(vec!["vectorized scan MiB/s".into(), fmt(b.vectorized_scan_mib_per_sec, 1)]);
-    t.row(vec!["parallel scan MiB/s".into(), fmt(b.parallel_scan_mib_per_sec, 1)]);
     t.row(vec!["segmented scan MiB/s".into(), fmt(b.segmented_scan_mib_per_sec, 1)]);
     t.row(vec!["vectorized speedup".into(), fmt(b.vectorized_speedup, 2)]);
-    t.row(vec!["parallel speedup".into(), fmt(b.parallel_speedup, 2)]);
     t.row(vec!["segmented / vectorized".into(), fmt(b.segmented_vs_vectorized, 2)]);
     t.row(vec!["frontier compare ns".into(), fmt(b.frontier_compare_ns, 1)]);
     t.row(vec![
@@ -231,10 +221,9 @@ pub fn write_json(b: &StreamingBench, path: &str) -> std::io::Result<()> {
 /// Compares `current` against a baseline, returning every gated metric that
 /// regressed by more than `factor`. Gated metrics are same-machine speedup
 /// ratios and the deterministic residue distribution — absolute MiB/s and
-/// ns vary across machines and are informational only. Two checks are
-/// absolute floors rather than baseline-relative: the parallel scan must
-/// not lose to serial, and the residue p50 must stay under 32 bytes (the
-/// "check cost is a frontier compare" property).
+/// ns vary across machines and are informational only. The residue p50 is
+/// an absolute floor rather than baseline-relative: it must stay under 32
+/// bytes (the "check cost is a frontier compare" property).
 pub fn regressions(
     current: &StreamingBench,
     baseline: &StreamingBench,
@@ -245,12 +234,6 @@ pub fn regressions(
         out.push(format!(
             "vectorized_speedup regressed: {:.2} vs baseline {:.2}",
             current.vectorized_speedup, baseline.vectorized_speedup
-        ));
-    }
-    if current.parallel_speedup < 1.0 {
-        out.push(format!(
-            "parallel scan lost to serial: speedup {:.2} (must stay >= 1)",
-            current.parallel_speedup
         ));
     }
     if current.residue_bytes_per_check_p50 >= 32 {
@@ -302,9 +285,7 @@ mod tests {
         StreamingBench {
             scan_mib_per_sec: 70.0,
             vectorized_scan_mib_per_sec: 350.0,
-            parallel_scan_mib_per_sec: 500.0,
             vectorized_speedup: 5.0,
-            parallel_speedup: 7.1,
             frontier_compare_ns: 2.0,
             residue_bytes_per_check_p50: 16,
             residue_bytes_per_check_p99: 48,
@@ -351,14 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn regressions_flag_slow_parallel_and_fat_residue() {
+    fn regressions_flag_slow_vectorized_and_fat_residue() {
         let base = sample();
         let mut bad = base.clone();
-        bad.parallel_speedup = 0.58; // the pre-fix regression
         bad.residue_bytes_per_check_p50 = 4096;
         bad.vectorized_speedup = 1.1;
         let r = regressions(&bad, &base, 2.0);
-        assert_eq!(r.len(), 3, "{r:?}");
+        assert_eq!(r.len(), 2, "{r:?}");
     }
 
     #[test]

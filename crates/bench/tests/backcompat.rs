@@ -9,10 +9,27 @@
 //! that flight-recorder dumps and saved snapshots from older builds stay
 //! loadable. The same policy covers the bench artifact schemas: columns
 //! added later (`*_dist` histograms, observability metrics) default when
-//! absent so checked-in baselines never need rewriting.
+//! absent so checked-in baselines never need rewriting, and removed
+//! columns and config knobs are ignored when an old file still carries them.
 
 use fg_bench::experiments::{fastpath, slowpath, streaming};
-use flowguard::{CheckEvent, CheckVerdict};
+use flowguard::{CheckEvent, CheckVerdict, FlowGuardConfig};
+
+/// A deployment config written before the engine had one trace-consumption
+/// path: it still carries the two since-removed scan-mode knobs, which must
+/// be ignored, not rejected.
+#[test]
+fn pre_unified_consumer_config_parses() {
+    let text = include_str!("fixtures/flowguard_config_scan_knobs.json");
+    let cfg: FlowGuardConfig = serde_json::from_str(text).unwrap();
+    assert_eq!(cfg.pkt_count, 48);
+    assert!(cfg.streaming);
+    assert_eq!(cfg.topa_region_bytes, 8192);
+    cfg.validate();
+    // The fixture names exactly two keys the current config no longer has.
+    let back = serde_json::to_string(&cfg).unwrap();
+    assert_eq!(text.matches("\":").count(), back.matches("\":").count() + 2);
+}
 
 /// PR-3-era event: fast-path counters only, no slow-path or tier-0 words.
 #[test]
@@ -104,12 +121,16 @@ fn pre_fleet_telemetry_snapshot_parses_with_defaults() {
 }
 
 /// A `BENCH_fastpath.json` from before the `*_dist` histogram columns must
-/// load with defaulted distributions.
+/// load with defaulted distributions; its since-removed parallel-scan and
+/// cold-rescan columns are ignored.
 #[test]
 fn pr4_era_bench_fastpath_parses() {
-    let b: fastpath::FastpathBench =
-        serde_json::from_str(include_str!("fixtures/bench_fastpath_pr4.json")).unwrap();
+    let text = include_str!("fixtures/bench_fastpath_pr4.json");
+    assert!(text.contains("bytes_per_check_cold"), "fixture carries the removed columns");
+    let b: fastpath::FastpathBench = serde_json::from_str(text).unwrap();
     assert!((b.edge_cache_hit_rate - 0.93).abs() < 1e-12);
+    assert!((b.bytes_per_check_incremental - 4200.0).abs() < 1e-12);
+    assert!(fastpath::regressions(&b, &b, 2.0).is_empty());
     assert_eq!(b.check_cycles_dist.count, 0);
     assert_eq!(b.scan_cycles_dist.count, 0);
     assert_eq!(b.bytes_per_check_dist.count, 0);

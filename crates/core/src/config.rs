@@ -21,15 +21,6 @@ pub struct FlowGuardConfig {
     /// Cache negative slow-path results as fast-path high credits (§7.1.1:
     /// "makes the performance better and better").
     pub cache_slow_path_results: bool,
-    /// Decode ToPA segments in parallel using PSB sync points (§5.3).
-    pub parallel_decode: bool,
-    /// Checkpoint the packet scanner between endpoint checks and consume
-    /// only the bytes appended since the previous check, instead of
-    /// re-scanning a tail window from a PSB sync point every time. Off, the
-    /// engine cold-scans the full buffer at each check — the reference mode
-    /// the incremental scanner is validated against.
-    #[serde(default = "default_incremental_scan")]
-    pub incremental_scan: bool,
     /// Fan the slow path's PSB-delimited shard decodes out on the shared
     /// worker pool (§5.3: "with the help of packet stream boundary (PSB)
     /// packets … this process can be done in parallel"). The sequential
@@ -43,13 +34,13 @@ pub struct FlowGuardConfig {
     /// cold — the reference mode the checkpoint is validated against.
     #[serde(default = "default_slow_checkpoint")]
     pub slow_checkpoint: bool,
-    /// Stream-consume the ToPA concurrently with execution: a background
-    /// [`fg_ipt::StreamConsumer`] drains the buffer at the machine's
-    /// periodic trace-poll slots and at region-fill PMIs, so an endpoint
-    /// check degenerates to a frontier compare plus a scan of the few
-    /// residue bytes written since the last drain. Off, checks consume the
-    /// buffer via the incremental scanner (or cold scans) at endpoint time
-    /// only — the reference mode streaming is validated against.
+    /// Stream-consume the ToPA concurrently with execution. Every check
+    /// drains the engine's [`fg_ipt::StreamConsumer`]; with streaming on it
+    /// is also drained in the background at the machine's periodic
+    /// trace-poll slots and at region-fill PMIs (and by fleet drain jobs),
+    /// so an endpoint check degenerates to a frontier compare plus a scan
+    /// of the few residue bytes written since the last drain. Off, the
+    /// consumer drains only at checks, bounded by the check window.
     #[serde(default = "default_streaming")]
     pub streaming: bool,
     /// Dedicated consumer thread ([`ConsumerThread`]): bulk draining moves
@@ -113,10 +104,6 @@ pub struct FlowGuardConfig {
     pub topa_region_bytes: usize,
 }
 
-fn default_incremental_scan() -> bool {
-    true
-}
-
 fn default_parallel_slow_path() -> bool {
     true
 }
@@ -160,8 +147,6 @@ impl Default for FlowGuardConfig {
             cred_ratio: 1.0,
             require_module_stride: true,
             cache_slow_path_results: true,
-            parallel_decode: false,
-            incremental_scan: true,
             parallel_slow_path: true,
             slow_checkpoint: true,
             streaming: false,
@@ -203,7 +188,6 @@ mod tests {
         assert_eq!(c.cred_ratio, 1.0);
         assert!(c.require_module_stride);
         assert!(c.cache_slow_path_results);
-        assert!(c.incremental_scan);
         assert!(c.parallel_slow_path);
         assert!(c.slow_checkpoint);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");

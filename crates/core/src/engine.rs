@@ -13,7 +13,6 @@
 use crate::config::FlowGuardConfig;
 use crate::consumer::{ConsumerStats, ConsumerThread};
 use crate::fastpath::{self, CheckScratch, FastVerdict, Violation};
-use crate::parallel::scan_parallel;
 use crate::slowpath::{self, SlowVerdict, SlowViolation};
 use crate::telemetry::{
     render_packets, CheckEvent, CheckVerdict, EngineTelemetry, FLIGHT_WINDOW_BYTES, PMI_SYSNO,
@@ -21,7 +20,7 @@ use crate::telemetry::{
 use fg_cfg::{EdgeIdx, EntryBitset, ItcCfg, OCfg};
 use fg_cpu::cost::CostModel;
 use fg_cpu::machine::SyscallCtx;
-use fg_ipt::{fast, IncrementalScanner, StreamConsumer};
+use fg_ipt::{StreamConsumer, Topa};
 use fg_isa::image::Image;
 use fg_kernel::{InterceptVerdict, SyscallInterceptor, Sysno, SIGKILL};
 use fg_trace::PhaseSpan;
@@ -61,9 +60,9 @@ pub struct EngineStats {
     pub credited_pairs: u64,
     /// Current slow-path result cache size.
     pub cache_size: usize,
-    /// Total trace bytes actually scanned across all checks. With the
-    /// incremental scanner this grows by the appended delta per check, not
-    /// by a whole tail window.
+    /// Total trace bytes actually scanned across all checks. The
+    /// checkpointed consumer grows this by the appended delta per check
+    /// (capped at the check window), never by a rescan.
     pub bytes_scanned: u64,
     /// Checkpoint losses: the ToPA wrapped past the scanner's position and
     /// a cold PSB re-synchronisation was needed.
@@ -123,19 +122,16 @@ pub struct FlowGuardEngine {
     cost: CostModel,
     cr3: u64,
     cache: HashSet<EdgeIdx>,
-    scanner: IncrementalScanner,
-    /// The streaming ToPA consumer ([`FlowGuardConfig::streaming`]): drains
-    /// the buffer at trace-poll slots and region-fill PMIs so checks find
-    /// only a small residue. `None` when streaming is off.
-    stream: Option<StreamConsumer>,
+    /// The ToPA consumer every check drains. With
+    /// [`FlowGuardConfig::streaming`] it is also drained in the background
+    /// at trace-poll slots, region-fill PMIs and fleet drain jobs, so checks
+    /// find only a small residue.
+    stream: StreamConsumer,
     /// Dedicated-consumer policy state ([`FlowGuardConfig::consumer_thread`]):
     /// wakeups ride the machine's (re-paced) trace-poll clock but model a
     /// consumer on its own core — lag-target-gated drains, own telemetry.
     /// `None` when drains borrow the process's poll slots.
     consumer: Option<ConsumerThread>,
-    /// Reused linearization scratch for the incremental (non-streaming)
-    /// scanner's bounded tail window.
-    drain_buf: Vec<u8>,
     /// `stream.stats().drained_bytes` at the previous check — the baseline
     /// for each [`CheckEvent::drained_bytes`] delta.
     drained_at_last_check: u64,
@@ -188,10 +184,8 @@ impl FlowGuardEngine {
         scratch.set_profiler(Arc::clone(&spans));
         let mut slow_scratch = slowpath::SlowScratch::new();
         slow_scratch.set_profiler(Arc::clone(&spans));
-        let mut stream = cfg.streaming.then(StreamConsumer::new);
-        if let Some(s) = stream.as_mut() {
-            s.set_profiler(spans, cost.packet_scan_byte_cycles);
-        }
+        let mut stream = StreamConsumer::new();
+        stream.set_profiler(spans, cost.packet_scan_byte_cycles);
         let consumer = (cfg.streaming && cfg.consumer_thread)
             .then(|| ConsumerThread::new(cfg.consumer_lag_target));
         FlowGuardEngine {
@@ -204,10 +198,8 @@ impl FlowGuardEngine {
             cost,
             cr3,
             cache: HashSet::new(),
-            scanner: IncrementalScanner::new(),
             stream,
             consumer,
-            drain_buf: Vec::new(),
             drained_at_last_check: 0,
             slow_scratch,
             tier0: None,
@@ -224,12 +216,10 @@ impl FlowGuardEngine {
     /// Overrides the cost model (hardware-extension ablations, §7.2.4).
     pub fn set_cost_model(&mut self, cost: CostModel) {
         self.cost = cost;
-        // The streaming consumer carries its own per-byte span cost —
-        // re-wire it so drains recorded after the override use the new
-        // model, matching `ev.scan_cycles` accounting.
-        if let Some(s) = self.stream.as_mut() {
-            s.set_profiler(self.stats.spans_handle(), cost.packet_scan_byte_cycles);
-        }
+        // The consumer carries its own per-byte span cost — re-wire it so
+        // drains recorded after the override use the new model, matching
+        // `ev.scan_cycles` accounting.
+        self.stream.set_profiler(self.stats.spans_handle(), cost.packet_scan_byte_cycles);
     }
 
     /// Installs the deployment's tier-0 entry-point bitset. The fast path
@@ -309,11 +299,12 @@ impl SyscallInterceptor for FlowGuardEngine {
 
     fn on_pmi(&mut self, ctx: &mut SyscallCtx<'_>) -> InterceptVerdict {
         // A region filled: a large chunk of trace is ready for the
-        // streaming consumer. Route this bulk drain through the shared
-        // worker pool — it is the consumer's slice of CPU, not the
-        // process's — so the poll-slot drains stay tiny.
-        if self.stream.is_some() {
-            self.background_drain(ctx, true);
+        // streaming consumer. Drain it now, so the poll-slot drains stay
+        // tiny.
+        if self.cfg.streaming {
+            if let Some(ipt) = ctx.trace.as_ipt() {
+                self.background_drain(ipt.topa());
+            }
         }
         if !self.cfg.pmi_endpoints {
             return InterceptVerdict::Allow;
@@ -326,15 +317,17 @@ impl SyscallInterceptor for FlowGuardEngine {
     }
 
     fn on_trace_poll(&mut self, ctx: &mut SyscallCtx<'_>) {
-        let Some(stream) = self.stream.as_ref() else { return };
+        if !self.cfg.streaming {
+            return;
+        }
+        let Some(ipt) = ctx.trace.as_ipt() else { return };
         // Dedicated consumer: under `consumer_thread` the machine's poll
         // clock is re-paced to the consumer's wakeup cadence and models a
         // thread spinning on its own core, not a borrowed process slot. A
         // wakeup is one frontier compare; only a lag at or above the target
         // commits to a drain — cheap wakeups, batched drains.
         let consumer_woke = if let Some(ct) = self.consumer.as_mut() {
-            let Some(ipt) = ctx.trace.as_ipt() else { return };
-            let lag = stream.residue(ipt.topa().total_written());
+            let lag = self.stream.residue(ipt.topa().total_written());
             let drain = ct.wake(lag);
             self.stats.record_consumer_wakeup(lag, drain);
             if !drain {
@@ -361,7 +354,7 @@ impl SyscallInterceptor for FlowGuardEngine {
         // Non-fleet fallback (and the fleet shed path): drain inline in the
         // poll slot — residues this small are cheaper to consume than to
         // ship to a worker.
-        let drained = self.background_drain(ctx, false);
+        let drained = self.background_drain(ipt.topa());
         if consumer_woke {
             if let Some(ct) = self.consumer.as_mut() {
                 ct.note_drained(drained);
@@ -372,48 +365,37 @@ impl SyscallInterceptor for FlowGuardEngine {
 }
 
 impl FlowGuardEngine {
-    /// One background drain of the ToPA residue into the streaming
-    /// consumer. `bulk` drains (region-fill PMIs) run on the shared worker
-    /// pool; poll-slot drains run inline. Drain cycles are not charged to
-    /// the process (`ctx.extra_cycles`): the consumer runs concurrently
-    /// with execution on its own slice of CPU — that concurrency is the
-    /// point of the streaming pipeline. Returns the bytes drained.
-    fn background_drain(&mut self, ctx: &mut SyscallCtx<'_>, bulk: bool) -> u64 {
-        let Some(stream) = self.stream.as_mut() else { return 0 };
-        let Some(ipt) = ctx.trace.as_ipt() else { return 0 };
-        let topa = ipt.topa();
+    /// One background drain of `topa`'s residue into the consumer — a
+    /// poll slot, a region-fill PMI or a fleet drain job. Drain cycles are
+    /// not charged to the process (`ctx.extra_cycles`): the consumer runs
+    /// concurrently with execution on its own slice of CPU — that
+    /// concurrency is the point of the streaming pipeline. Returns the
+    /// bytes drained.
+    fn background_drain(&mut self, topa: &Topa) -> u64 {
         let total = topa.total_written();
-        if stream.residue(total) == 0 {
+        if self.stream.is_drained(total) {
             return 0;
         }
         // Zero-copy drain: borrow the ToPA's regions chronologically and
         // feed them to the consumer as-is — only ≤15-byte packet fragments
         // straddling region seams get copied (into the consumer's carry).
-        let segs = topa.segments();
-        let result = if bulk {
-            crate::pool::WorkerPool::global()
-                .run(vec![move || stream.drain_segments_profiled(&segs, total, true)])
-                .pop()
-                .expect("one task, one result")
-        } else {
-            stream.drain_segments_profiled(&segs, total, true)
-        };
-        let drained = match result {
-            Ok(info) => {
-                if info.new_bytes > 0 || info.cold_restart {
-                    self.stats.record_stream_drain(info.new_bytes);
+        let drained =
+            match self.stream.drain(&topa.segments(), total, usize::MAX, PhaseSpan::StreamDrain) {
+                Ok(info) => {
+                    if info.new_bytes > 0 || info.cold_restart {
+                        self.stats.record_stream_drain(info.new_bytes);
+                    }
+                    info.new_bytes
                 }
-                info.new_bytes
-            }
-            Err(_) => {
-                // Corrupt PSB+ bundle mid-stream: abandon it; the next
-                // drain re-synchronises. The same conservative recovery the
-                // check path uses.
-                self.stream.as_mut().expect("checked above").skip_to(total);
-                0
-            }
-        };
-        let ds = self.stream.as_ref().expect("checked above").stats();
+                Err(_) => {
+                    // Corrupt PSB+ bundle mid-stream: abandon it; the next
+                    // drain re-synchronises. The same conservative recovery
+                    // the check path uses.
+                    self.stream.skip_to(total);
+                    0
+                }
+            };
+        let ds = self.stream.stats();
         self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
         drained
     }
@@ -423,36 +405,16 @@ impl FlowGuardEngine {
     /// process's per-CR3 ToPA directly (no [`SyscallCtx`] — the process is
     /// not running when its deferred drains execute).
     pub fn fleet_drain(&mut self, unit: &fg_cpu::IptUnit) {
-        let Some(stream) = self.stream.as_mut() else { return };
-        let topa = unit.topa();
-        let total = topa.total_written();
-        if stream.residue(total) == 0 {
+        if !self.cfg.streaming {
             return;
         }
-        // Same zero-copy segmented drive as the inline path: the pooled
-        // consumers borrow the parked unit's regions directly.
-        let segs = topa.segments();
-        let drained = match stream.drain_segments_profiled(&segs, total, true) {
-            Ok(info) => {
-                if info.new_bytes > 0 || info.cold_restart {
-                    self.stats.record_stream_drain(info.new_bytes);
-                }
-                info.new_bytes
-            }
-            Err(_) => {
-                // Same conservative recovery as the inline drain path.
-                self.stream.as_mut().expect("checked above").skip_to(total);
-                0
-            }
-        };
+        let drained = self.background_drain(unit.topa());
         if let Some(ct) = self.consumer.as_mut() {
             // A consumer wakeup committed this deferred drain; the bytes
             // belong to the pooled consumers' slice of CPU.
             ct.note_drained(drained);
             self.stats.record_consumer_drained(drained);
         }
-        let ds = self.stream.as_ref().expect("checked above").stats();
-        self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
     }
 
     fn flow_check(
@@ -493,127 +455,53 @@ impl FlowGuardEngine {
             ev.verdict = CheckVerdict::Insufficient;
             return InterceptVerdict::Allow;
         };
-        let total_written = ipt.topa().total_written();
-        let retained = ipt.topa().retained_len();
+        let topa = ipt.topa();
+        let total_written = topa.total_written();
 
         // --- fast path -----------------------------------------------------
         // "It is not required to decode the whole ToPA buffer" (§5.3): an
         // endpoint check needs only the most recent window of flow. The
-        // checkpointed scanner consumes the bytes appended since the
-        // previous check, and when more was appended than one window can
-        // use it skips the excess and re-synchronises inside the kept tail,
-        // so per-check decode work is min(appended, window budget) bytes —
-        // never a rescan of flow an earlier check already extracted.
-        //
-        // No branch below linearizes the whole ToPA: streaming drains the
-        // borrowed region segments, the incremental scanner reads a bounded
-        // tail, and only the reference cold scan, slow-path escalations and
-        // violation flight records materialize `chronological()` copies.
-        let window_budget =
-            if full_buffer { retained.max(1) } else { (self.cfg.pkt_count * 24).max(512) };
-        let scan_owned;
-        let (scan, first_tnt_truncated) = if let Some(stream) = self.stream.as_mut() {
-            // Streaming mode: the background consumer has already decoded
-            // (almost) everything. The check is a frontier compare plus a
-            // drain of the residue bytes written since the last poll slot.
+        // checkpointed consumer drains the bytes appended since it last
+        // drained, straight from the borrowed ToPA regions. Without
+        // streaming nothing drains between checks, so the drain is bounded
+        // by the check window: more residue than one window can use is
+        // skipped (re-synchronising inside the kept tail), so per-check
+        // decode work is min(appended, window budget) bytes — never a
+        // rescan of flow an earlier check already extracted. With
+        // streaming the background drains have already consumed (almost)
+        // everything, and the check drains whatever residue is left.
+        let (budget, phase) = if self.cfg.streaming {
             ev.streaming = true;
-            ev.frontier_lag = stream.residue(total_written);
+            ev.frontier_lag = self.stream.residue(total_written);
             ev.drained_bytes =
-                stream.stats().drained_bytes.saturating_sub(self.drained_at_last_check);
-            if ev.frontier_lag > 0 {
-                // Check-time residue drain: attributed to the residue-scan
-                // phase inside the profiled drain (background drains go to
-                // the stream-drain phase instead). Segmented, like every
-                // other drain — the residue is read out of the borrowed
-                // region slices, not a linearized copy.
-                let segs = ipt.trace_segments();
-                match stream.drain_segments_profiled(&segs, total_written, false) {
-                    Ok(info) => {
-                        ev.cold_restart = info.cold_restart;
-                        ev.delta_bytes += info.new_bytes;
-                        let scan_cycles = info.new_bytes as f64 * self.cost.packet_scan_byte_cycles;
-                        ev.scan_cycles += scan_cycles;
-                        ctx.extra_cycles.decode += scan_cycles;
-                    }
-                    Err(_) => {
-                        // Corrupt PSB+ bundle: skip past it, stay
-                        // conservative (same recovery as the incremental
-                        // path).
-                        stream.skip_to(total_written);
-                        self.drained_at_last_check = stream.stats().drained_bytes;
-                        ev.verdict = CheckVerdict::Insufficient;
-                        return InterceptVerdict::Allow;
-                    }
-                }
-            }
-            self.drained_at_last_check = stream.stats().drained_bytes;
-            let ds = stream.stats();
-            self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
-            (stream.scan(), stream.first_tip_truncated())
-        } else if self.cfg.incremental_scan {
-            let delta = total_written.saturating_sub(self.scanner.stream_pos());
-            if delta > window_budget as u64 && delta <= retained as u64 {
-                // The accumulated flow already covers everything a previous
-                // check could see; the pair across the skip seam becomes
-                // unjudgeable (Resync boundary), exactly as it was outside
-                // the old rescan window.
-                self.scanner.skip_to(total_written - window_budget as u64);
-            }
-            // The scanner touches at most the last `window_budget` bytes:
-            // the skip above caps the live delta, and a cold restart syncs
-            // inside the same bound — so only that bounded tail is read out
-            // (into a reused scratch), never the whole buffer.
-            ipt.trace_tail_into(window_budget.min(retained), &mut self.drain_buf);
-            match self.scanner.advance(&self.drain_buf, total_written, window_budget) {
-                Ok(info) => {
-                    ev.cold_restart = info.cold_restart;
-                    ev.delta_bytes += info.new_bytes;
-                    let scan_cycles = info.new_bytes as f64 * self.cost.packet_scan_byte_cycles;
-                    ev.scan_cycles += scan_cycles;
-                    ctx.extra_cycles.decode += scan_cycles;
-                    self.stats.spans().record(PhaseSpan::FastScan, scan_cycles, info.new_bytes);
-                }
-                Err(_) => {
-                    // Corrupt PSB+ bundle: skip past it, stay conservative.
-                    self.scanner.skip_to(total_written);
-                    ev.verdict = CheckVerdict::Insufficient;
-                    return InterceptVerdict::Allow;
-                }
-            }
-            (self.scanner.scan(), self.scanner.first_tip_truncated())
+                self.stream.stats().drained_bytes.saturating_sub(self.drained_at_last_check);
+            (usize::MAX, PhaseSpan::ResidueScan)
+        } else if full_buffer {
+            (topa.retained_len().max(1), PhaseSpan::FastScan)
         } else {
-            // Reference mode: a cold PSB-synchronised tail-window scan per
-            // check, widening (doubling) while it holds too few TIPs for
-            // the configured pkt_count — the pre-checkpointing behaviour,
-            // full linearization included (it is the comparator the
-            // zero-copy paths are validated against).
-            let bytes = ipt.trace_bytes();
-            let mut budget = window_budget;
-            let (cold, scanned_len) = loop {
-                let window = tail_window(&bytes, budget);
-                let scan = if self.cfg.parallel_decode {
-                    scan_parallel(window)
-                } else {
-                    fast::scan(window)
-                };
-                let Ok(scan) = scan else {
-                    // Unparseable buffer: be conservative and escalate.
-                    ev.verdict = CheckVerdict::Insufficient;
-                    return InterceptVerdict::Allow;
-                };
-                if scan.tip_count() > self.cfg.pkt_count || window.len() == bytes.len() {
-                    break (scan, window.len());
-                }
-                budget *= 2;
-            };
-            scan_owned = cold;
-            ev.delta_bytes += scanned_len as u64;
-            let scan_cycles = scanned_len as f64 * self.cost.packet_scan_byte_cycles;
-            ev.scan_cycles += scan_cycles;
-            ctx.extra_cycles.decode += scan_cycles;
-            self.stats.spans().record(PhaseSpan::FastScan, scan_cycles, scanned_len as u64);
-            (&scan_owned, false)
+            ((self.cfg.pkt_count * 24).max(512), PhaseSpan::FastScan)
         };
+        let drained = self.stream.drain(&topa.segments(), total_written, budget, phase);
+        self.drained_at_last_check = self.stream.stats().drained_bytes;
+        match drained {
+            Ok(info) => {
+                ev.cold_restart = info.cold_restart;
+                ev.delta_bytes += info.new_bytes;
+                let scan_cycles = info.new_bytes as f64 * self.cost.packet_scan_byte_cycles;
+                ev.scan_cycles += scan_cycles;
+                ctx.extra_cycles.decode += scan_cycles;
+            }
+            Err(_) => {
+                // Corrupt PSB+ bundle: skip past it, stay conservative.
+                self.stream.skip_to(total_written);
+                ev.verdict = CheckVerdict::Insufficient;
+                return InterceptVerdict::Allow;
+            }
+        }
+        let ds = self.stream.stats();
+        self.stats.sample_stream_copies(ds.copied_bytes, ds.seam_carries);
+        let scan = self.stream.scan();
+        let first_tnt_truncated = self.stream.first_tip_truncated();
 
         // PMI mode checks every pair in the accumulated flow; endpoint mode
         // checks the configured window.
@@ -637,14 +525,9 @@ impl FlowGuardEngine {
             first_tnt_truncated,
             tier0,
         );
-        let keep_tips = self.cfg.pkt_count.saturating_mul(8).max(256);
-        if let Some(stream) = self.stream.as_mut() {
-            // Bound the accumulated scan: keep comfortably more than the
-            // widest window the checker reaches back (pkt_count * 4).
-            stream.compact(keep_tips);
-        } else if self.cfg.incremental_scan {
-            self.scanner.compact(keep_tips);
-        }
+        // Bound the accumulated scan: keep comfortably more than the widest
+        // window the checker reaches back (pkt_count * 4).
+        self.stream.compact(self.cfg.pkt_count.saturating_mul(8).max(256));
         ev.pairs_checked = fast.pairs_checked as u64;
         ev.credited_pairs = fast.credited_pairs as u64;
         ev.tier0_hits = fast.tier0_hits;
@@ -831,36 +714,6 @@ mod tests {
             "trained run should rarely hit the slow path ({}/{})",
             s.slow_invocations,
             s.checks
-        );
-    }
-
-    #[test]
-    fn incremental_and_cold_scan_agree_on_verdicts() {
-        let w = fg_workloads::nginx_patched();
-        let (itc, ocfg) = trained_deployment(&w);
-        let run = |incremental: bool| {
-            let cfg = FlowGuardConfig { incremental_scan: incremental, ..Default::default() };
-            let (stop, stats, k) =
-                protected_run(&w, itc.clone(), Arc::clone(&ocfg), &w.default_input, cfg);
-            assert_eq!(stop, StopReason::Exited(0));
-            assert!(!k.violated());
-            let s = stats.snapshot();
-            let verdicts = (
-                s.checks,
-                s.fast_clean,
-                s.fast_malicious,
-                s.slow_invocations,
-                s.slow_attacks,
-                s.insufficient,
-            );
-            (verdicts, s.bytes_scanned)
-        };
-        let (inc_verdicts, inc_bytes) = run(true);
-        let (cold_verdicts, cold_bytes) = run(false);
-        assert_eq!(inc_verdicts, cold_verdicts, "incremental scan must not change any verdict");
-        assert!(
-            inc_bytes < cold_bytes,
-            "checkpointing must scan strictly fewer bytes ({inc_bytes} vs {cold_bytes})"
         );
     }
 

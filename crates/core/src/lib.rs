@@ -18,7 +18,7 @@
 //! * [`slowpath`] — instruction-flow decoding + fine-grained policy (§5.3
 //!   "slow path");
 //! * [`shadow`] — the slow path's shadow stack;
-//! * [`parallel`] — PSB-parallel packet scanning (§5.3);
+//! * [`parallel`] — PSB-sharded parallel slow-path decoding (§5.3);
 //! * [`engine`] — the kernel-module interceptor with slow-path result
 //!   caching (§5.2, §7.1.1);
 //! * [`deploy`] — the end-to-end pipeline (Figure 1's steps ①–⑤);
@@ -69,7 +69,6 @@ pub use fleet::{
     ArtifactCache, ArtifactCacheStats, FleetConfig, FleetMember, FleetScheduler, FleetSnapshot,
     FleetSupervisor, SchedulerStats,
 };
-pub use parallel::scan_parallel;
 pub use pool::WorkerPool;
 pub use shadow::{ShadowOutcome, ShadowStack};
 pub use slowpath::{SlowPathResult, SlowScratch, SlowVerdict, SlowViolation};

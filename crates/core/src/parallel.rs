@@ -1,92 +1,18 @@
-//! Parallel packet-level decoding across PSB-delimited segments.
+//! Parallel decoding across PSB-delimited shards.
 //!
 //! "With the help of packet stream boundary (PSB) packets, which are served
 //! as sync points for the decoder, this process can be done in parallel to
-//! further accelerate the decoding" (§5.3). Segments are scanned on the
-//! reusable [`WorkerPool`] and the per-segment results merged in stream
-//! order by [`fast::merge_segments`], which stitches TNT runs cut at
-//! segment seams, rebases per-segment sync offsets to buffer coordinates,
-//! and resolves damage at a seam exactly as the serial scanner would.
+//! further accelerate the decoding" (§5.3). The slow path decodes each
+//! shard independently on the reusable [`WorkerPool`]; its sequential
+//! stitch pass keeps the result bit-identical to a serial decode.
 
 use crate::pool::WorkerPool;
-use fg_ipt::decode::PacketError;
-use fg_ipt::fast::{self, FastScan};
-
-/// Below this many bytes a fan-out costs more than it saves (task dispatch,
-/// pool latching, merge) — the scan runs serially on the vectorized path
-/// instead.
-pub const PARALLEL_MIN_BYTES: usize = 64 * 1024;
-
-/// Scans a trace buffer, fanning PSB-delimited chunks out across the worker
-/// pool when the buffer is large enough to amortise the dispatch.
-///
-/// Segments are grouped into at most `pool.size()` *contiguous* chunks of
-/// roughly equal byte size, and each chunk is scanned with one
-/// [`fast::scan_vectorized`] call. One task per worker (instead of one scan
-/// call per segment) keeps the per-call setup cost independent of the PSB
-/// period, which is what let the old per-segment strided fan-out fall
-/// behind a serial scan on dense-PSB traces.
-///
-/// Produces exactly the same [`FastScan`] as [`fast::scan`] on the whole
-/// buffer.
-///
-/// # Errors
-///
-/// Propagates the first failing chunk's [`PacketError`] in stream order,
-/// with its offset rebased to buffer coordinates — the same error a serial
-/// scan would report.
-pub fn scan_parallel(buf: &[u8]) -> Result<FastScan, PacketError> {
-    if buf.len() < PARALLEL_MIN_BYTES {
-        return fast::scan_vectorized(buf);
-    }
-    let segs = fast::segments(buf);
-    if segs.len() <= 1 {
-        return fast::scan_vectorized(buf);
-    }
-
-    let pool = WorkerPool::global();
-    let workers = segs.len().min(pool.size());
-    // Chunk boundaries land on segment starts, so every chunk begins at a
-    // PSB sync point (or the buffer head) and the merge sees the same seam
-    // conditions a per-segment split would.
-    let target = buf.len().div_ceil(workers);
-    let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(workers);
-    let mut start = segs[0].0;
-    let mut end = start;
-    for &(off, len) in &segs {
-        if end - start >= target {
-            chunks.push((start, end));
-            start = off;
-        }
-        end = off + len;
-    }
-    chunks.push((start, end));
-
-    let tasks: Vec<_> = chunks
-        .iter()
-        .map(|&(start, end)| {
-            move || {
-                let r = fast::scan_vectorized(&buf[start..end])
-                    .map_err(|e| PacketError { offset: e.offset + start, kind: e.kind });
-                (start, r)
-            }
-        })
-        .collect();
-    let results = pool.run(tasks);
-
-    let mut parts = Vec::with_capacity(results.len());
-    for (off, r) in results {
-        parts.push((off, r?));
-    }
-    Ok(fast::merge_segments(parts))
-}
 
 /// Fans `spans` of `buf` out across the pool, applying `work` to each span
 /// in a strided distribution, and returns the results in span order.
 ///
-/// This is the slow path's analogue of [`scan_parallel`]'s fan-out: the
-/// spans are PSB-delimited shards and `work` is a full flow decode, but the
-/// distribution/ordering logic is shared shape.
+/// The slow path's fan-out: the spans are PSB-delimited shards and `work`
+/// is a full flow decode of one shard.
 pub(crate) fn run_sharded<T, F>(
     pool: &WorkerPool,
     buf: &[u8],
@@ -118,132 +44,4 @@ where
     let mut results: Vec<(usize, T)> = pool.run(tasks).into_iter().flatten().collect();
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, t)| t).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fg_ipt::encode::PacketEncoder;
-
-    fn multi_segment_trace() -> Vec<u8> {
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), Some(0x1000));
-        for i in 0..50u64 {
-            enc.tnt_bit(i % 3 == 0);
-            enc.tip(0x40_0000 + (i % 7) * 64);
-            if i % 10 == 9 {
-                enc.psb_plus(Some(0x40_0000), Some(0x1000));
-            }
-        }
-        enc.into_sink()
-    }
-
-    #[test]
-    fn parallel_equals_serial() {
-        let bytes = multi_segment_trace();
-        let serial = fast::scan(&bytes).unwrap();
-        let parallel = scan_parallel(&bytes).unwrap();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn single_segment_falls_back() {
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.tip(0x40_0000);
-        let bytes = enc.into_sink();
-        let r = scan_parallel(&bytes).unwrap();
-        assert_eq!(r.tip_count(), 1);
-    }
-
-    #[test]
-    fn sync_offset_rebased_to_buffer_coordinates() {
-        // Damage *inside* the second segment: the segment-relative sync
-        // offset must come back rebased by the segment's base offset.
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tip(0x40_0000);
-        let seg1 = enc.into_sink();
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tip(0x40_0008);
-        let mut seg2 = enc.into_sink();
-        seg2.extend_from_slice(&[0x47, 0x13]); // trailing damage
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0010), None);
-        enc.tip(0x40_0010);
-        let seg3 = enc.into_sink();
-
-        let mut bytes = seg1.clone();
-        bytes.extend_from_slice(&seg2);
-        bytes.extend_from_slice(&seg3);
-        let serial = fast::scan(&bytes).unwrap();
-        let parallel = scan_parallel(&bytes).unwrap();
-        assert_eq!(parallel, serial);
-        assert_eq!(parallel.sync_offset, Some(seg1.len() + seg2.len()));
-    }
-
-    #[test]
-    fn chunked_fanout_equals_serial_on_large_trace() {
-        // Dense PSB period over a trace comfortably above the fan-out
-        // threshold: the grouping must coalesce the many small segments
-        // into a handful of contiguous chunks and still match serial.
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), Some(0x1000));
-        for i in 0..40_000u64 {
-            enc.tnt_bit(i % 3 == 0);
-            enc.tip(0x40_0000 + (i % 7) * 64);
-            if i % 100 == 99 {
-                enc.psb_plus(Some(0x40_0000), Some(0x1000));
-            }
-        }
-        let bytes = enc.into_sink();
-        assert!(bytes.len() >= PARALLEL_MIN_BYTES, "trace must engage the fan-out");
-        let serial = fast::scan(&bytes).unwrap();
-        let parallel = scan_parallel(&bytes).unwrap();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn damage_at_chunk_seam_matches_serial() {
-        // Equal-sized segments so chunk seams land on segment boundaries;
-        // damaged bytes at one segment's tail must resync on the next
-        // chunk's PSB exactly as a serial scan would.
-        let mut bytes = Vec::new();
-        for s in 0..8u64 {
-            let mut enc = PacketEncoder::new(Vec::new());
-            enc.psb_plus(Some(0x40_0000), Some(0x1000));
-            for i in 0..4_000u64 {
-                enc.tnt_bit(i % 2 == 0);
-                enc.tip(0x40_0000 + (i % 5) * 64);
-            }
-            let mut seg = enc.into_sink();
-            if s == 3 {
-                seg.extend_from_slice(&[0x47, 0x13, 0x47]); // trailing damage
-            }
-            bytes.extend_from_slice(&seg);
-        }
-        assert!(bytes.len() >= PARALLEL_MIN_BYTES);
-        let serial = fast::scan(&bytes).unwrap();
-        let parallel = scan_parallel(&bytes).unwrap();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn parallel_on_real_workload_trace() {
-        use fg_cpu::{IptUnit, Machine, TraceUnit};
-        let w = fg_workloads::nginx_patched();
-        let mut m = Machine::new(&w.image, 0x4000);
-        let mut unit = IptUnit::flowguard(0x4000, fg_ipt::Topa::two_regions(1 << 20).unwrap());
-        unit.set_psb_period(256); // force many segments
-        unit.start(w.image.entry(), 0x4000);
-        m.trace = TraceUnit::Ipt(unit);
-        let mut k = fg_kernel::Kernel::with_input(&w.default_input);
-        m.run(&mut k, 10_000_000);
-        m.trace.as_ipt_mut().unwrap().flush();
-        let bytes = m.trace.as_ipt().unwrap().trace_bytes();
-        let serial = fast::scan(&bytes).unwrap();
-        let parallel = scan_parallel(&bytes).unwrap();
-        assert!(serial.tip_count() > 20);
-        assert_eq!(parallel, serial);
-    }
 }

@@ -1,13 +1,11 @@
-//! A reusable scan worker pool.
+//! A reusable worker pool.
 //!
-//! `scan_parallel` used to spin up a fresh `crossbeam::thread::scope` —
-//! thread creation and teardown — on *every* endpoint check, capped at a
-//! hardcoded eight workers. The pool here is created once (lazily, sized
-//! from [`std::thread::available_parallelism`]), parks its workers on a
-//! condvar between checks, and exposes a scoped [`WorkerPool::run`] that
-//! borrows stack data like the scope did: the call does not return until
-//! every submitted task has finished, which is what makes handing
-//! non-`'static` closures to the workers sound.
+//! The pool is created once (lazily, sized from
+//! [`std::thread::available_parallelism`]), parks its workers on a condvar
+//! between jobs, and exposes a scoped [`WorkerPool::run`] that borrows
+//! stack data: the call does not return until every submitted task has
+//! finished, which is what makes handing non-`'static` closures to the
+//! workers sound.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

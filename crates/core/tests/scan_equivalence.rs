@@ -1,15 +1,20 @@
-//! Property tests: the serial scanner, the PSB-parallel scanner, and the
-//! checkpointed incremental scanner are three implementations of the same
-//! function and must extract byte-identical TIP/TNT flow from any trace —
-//! including traces with overflow packets, mid-stream damage, and arbitrary
-//! chunk seams (the incremental scanner's contract is that chunks end at
-//! packet boundaries, except inside damaged regions where any seam is fair).
+//! Property tests: the scalar reference scanner, the vectorized scanner, and
+//! the checkpointed stream consumer the engine drains at every check are
+//! three implementations of the same function and must extract
+//! byte-identical TIP/TNT flow from any trace — including traces with
+//! overflow packets, mid-stream damage, and arbitrary chunk seams at packet
+//! boundaries (the ToPA only ever exposes whole packets).
 
 use fg_ipt::encode::PacketEncoder;
 use fg_ipt::fast::{self, Boundary, FastScan, TipEvent};
-use fg_ipt::{IncrementalScanner, PacketParser};
-use flowguard::scan_parallel;
+use fg_ipt::{AppendInfo, PacketError, PacketParser, StreamConsumer};
+use flowguard::PhaseSpan;
 use proptest::prelude::*;
+
+/// One unbounded consumer drain of the linear stream prefix `bytes`.
+fn drain(c: &mut StreamConsumer, bytes: &[u8], total: u64) -> Result<AppendInfo, PacketError> {
+    c.drain(&[bytes], total, usize::MAX, PhaseSpan::FastScan)
+}
 
 /// Tiny deterministic generator so stream shape is a pure function of the
 /// proptest-supplied seed.
@@ -60,8 +65,8 @@ fn build_stream(seed: u64, n_ops: usize, with_garbage: bool) -> Vec<u8> {
 /// Packet boundaries as the *serial parser* sees them — injected garbage can
 /// itself decode as valid packets (possibly swallowing following real
 /// packets), so encoder-op offsets are not trustworthy seams. These are: the
-/// ToPA only ever exposes whole packets, and the incremental scanner's
-/// chunk-seam contract is defined by the parse, not by the producer.
+/// ToPA only ever exposes whole packets, and the consumer's chunk-seam
+/// contract is defined by the parse, not by the producer.
 fn parse_boundaries(stream: &[u8]) -> Vec<usize> {
     let mut cuts = vec![0];
     let mut parser = PacketParser::new(stream);
@@ -90,22 +95,22 @@ fn events(s: &FastScan) -> (Vec<TipEvent>, Vec<(usize, Boundary)>, Vec<bool>) {
 }
 
 proptest! {
-    /// Serial and PSB-parallel scans are equal on the full result, and an
-    /// incremental scan over randomly chosen chunk seams reproduces the
-    /// same flow with no byte scanned twice.
+    /// Scalar and vectorized scans are equal on the full result, and
+    /// consumer drains over randomly chosen chunk seams reproduce the same
+    /// flow with no byte scanned twice.
     #[test]
-    fn serial_parallel_incremental_agree(
+    fn scalar_vectorized_consumer_agree(
         seed in any::<u64>(),
         n_ops in 10usize..150,
         with_garbage in any::<bool>(),
     ) {
         let stream = build_stream(seed, n_ops, with_garbage);
         let serial = fast::scan(&stream);
-        let parallel = scan_parallel(&stream);
-        match (&serial, &parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(p, s),
+        let vectorized = fast::scan_vectorized(&stream);
+        match (&serial, &vectorized) {
+            (Ok(s), Ok(v)) => prop_assert_eq!(v, s),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "serial {a:?} vs parallel {b:?}"),
+            (a, b) => prop_assert!(false, "serial {a:?} vs vectorized {b:?}"),
         }
 
         let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
@@ -114,10 +119,10 @@ proptest! {
             .filter(|_| rng.next().is_multiple_of(3))
             .collect();
         ends.push(stream.len());
-        let mut inc = IncrementalScanner::new();
+        let mut inc = StreamConsumer::new();
         let mut inc_err = false;
         for &end in &ends {
-            if inc.advance(&stream[..end], end as u64, stream.len()).is_err() {
+            if drain(&mut inc, &stream[..end], end as u64).is_err() {
                 inc_err = true;
                 break;
             }
@@ -145,8 +150,8 @@ proptest! {
         let old = build_stream(seed, n_old, false);
         let fresh = build_stream(seed ^ 0xdead_beef, n_fresh, false);
 
-        let mut inc = IncrementalScanner::new();
-        inc.advance(&old, old.len() as u64, old.len()).expect("old advance");
+        let mut inc = StreamConsumer::new();
+        drain(&mut inc, &old, old.len() as u64).expect("old drain");
         let had_tips = inc.scan().tip_count();
         let had_flow = had_tips > 0
             || !inc.scan().boundaries.is_empty()
@@ -154,7 +159,7 @@ proptest! {
         let old_boundaries = inc.scan().boundaries.clone();
 
         let total = (old.len() + fresh.len()) as u64 + 4096; // gap: wrapped
-        let info = inc.advance(&fresh, total, fresh.len()).expect("fresh advance");
+        let info = drain(&mut inc, &fresh, total).expect("fresh drain");
         prop_assert!(info.cold_restart);
 
         let cold = fast::scan(&fresh).expect("cold scan of fresh buffer");
@@ -176,21 +181,21 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         let serial = fast::scan(&bytes);
-        let parallel = scan_parallel(&bytes);
-        match (&serial, &parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(p, s),
+        let vectorized = fast::scan_vectorized(&bytes);
+        match (&serial, &vectorized) {
+            (Ok(s), Ok(v)) => prop_assert_eq!(v, s),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "serial {a:?} vs parallel {b:?}"),
+            (a, b) => prop_assert!(false, "serial {a:?} vs vectorized {b:?}"),
         }
-        // One whole-buffer advance (a mid-soup seam is not a packet
-        // boundary, which the incremental contract requires outside damaged
-        // regions the scanner has already recognised as damaged).
-        let mut inc = IncrementalScanner::new();
-        let r = inc.advance(&bytes, bytes.len() as u64, bytes.len());
+        // One whole-buffer drain (a mid-soup seam is not a packet boundary,
+        // which the consumer's contract requires outside damaged regions it
+        // has already recognised as damaged).
+        let mut inc = StreamConsumer::new();
+        let r = drain(&mut inc, &bytes, bytes.len() as u64);
         match (serial, r) {
             (Ok(s), Ok(_)) => prop_assert_eq!(events(inc.scan()), events(&s)),
             (Err(_), Err(_)) => {}
-            (s, i) => prop_assert!(false, "serial {s:?} vs incremental {i:?}"),
+            (s, i) => prop_assert!(false, "serial {s:?} vs consumer {i:?}"),
         }
     }
 }

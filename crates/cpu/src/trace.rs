@@ -206,12 +206,6 @@ impl IptUnit {
         self.enc.sink().segments()
     }
 
-    /// Copies the most recent `n` trace bytes into `out` — the bounded
-    /// cold-window read ([`Topa::tail_into`]).
-    pub fn trace_tail_into(&self, n: usize, out: &mut Vec<u8>) {
-        self.enc.sink().tail_into(n, out);
-    }
-
     /// The trace bytes in chronological order, assembled from the
     /// segmented view. A convenience for tests and cold consumers (slow
     /// path, flight records); runtime drains use [`IptUnit::trace_segments`]
@@ -551,11 +545,6 @@ mod tests {
             segs.last().unwrap().as_ptr(),
             u.topa().regions()[0].contents().as_ptr()
         ));
-        // Bounded tail read agrees with the linearised tail.
-        let mut tail = Vec::new();
-        u.trace_tail_into(16, &mut tail);
-        let bytes = u.trace_bytes();
-        assert_eq!(tail, bytes[bytes.len() - 16..]);
     }
 
     #[test]

@@ -183,16 +183,6 @@ pub struct FastScan {
     pub bytes_scanned: u64,
     /// Offset of the PSB the scan synchronised on, if resync was needed.
     pub sync_offset: Option<usize>,
-    /// The scan ended inside damaged bytes with no further sync point: a
-    /// continuation (next parallel segment, next incremental append) must
-    /// re-synchronise and record a [`Boundary::Resync`].
-    #[serde(default)]
-    pub(crate) truncated: bool,
-    /// The damage was at the very head of the buffer, before any packet
-    /// parsed (a wrapped ToPA seam): a continuation synchronises *silently*,
-    /// exactly like the cold scanner's head probe — no [`Boundary::Resync`].
-    #[serde(default)]
-    pub(crate) damage_at_head: bool,
 }
 
 /// Two scans are equal when they describe the same TIP/TNT/boundary stream;
@@ -204,8 +194,6 @@ impl PartialEq for FastScan {
             && self.boundaries == other.boundaries
             && self.bytes_scanned == other.bytes_scanned
             && self.sync_offset == other.sync_offset
-            && self.truncated == other.truncated
-            && self.damage_at_head == other.damage_at_head
             && self.trailing_tnt() == other.trailing_tnt()
             && (0..self.tip_count()).all(|i| {
                 self.tnt_ranges[i].1 == other.tnt_ranges[i].1
@@ -318,44 +306,6 @@ impl FastScan {
             self.bits.push(b);
         }
         self.trailing = (start as u32, tnt.len() as u32);
-    }
-
-    /// Appends a continuation scan (a later PSB segment or an incremental
-    /// delta) onto `self`, stitching a TNT run cut at the seam: the pending
-    /// trailing run of `self` joins the first TIP's run of `seg`.
-    ///
-    /// Boundaries are rebased onto `self`'s TIP indices. `bytes_scanned`,
-    /// `sync_offset` and `truncated` are the *caller's* concern (segment
-    /// offsets are only known to it).
-    pub fn append_segment(&mut self, seg: &FastScan) {
-        let base = self.tip_count();
-        let pending_start = self.trailing.0 as usize;
-        debug_assert_eq!(
-            pending_start + self.trailing.1 as usize,
-            self.bits.len(),
-            "pending run must sit at the end of the bitvec"
-        );
-        // An OVF/Resync in `seg` before its first TIP discards the pending
-        // run `self` carried, exactly as a cold scan of the concatenation
-        // would have cleared it.
-        let clears_at_0 = seg
-            .boundaries
-            .iter()
-            .take_while(|&&(i, _)| i == 0)
-            .any(|(_, b)| matches!(b, Boundary::Overflow | Boundary::Resync));
-        for i in 0..seg.tip_count() {
-            let (s, l) = seg.tnt_ranges[i];
-            let run_start = if i == 0 && !clears_at_0 { pending_start } else { self.bits.len() };
-            self.bits.extend_from_range(&seg.bits, s as usize, l as usize);
-            self.push_tip_with_run(seg.tip_ip(i), run_start);
-        }
-        self.boundaries.extend(seg.boundaries.iter().map(|&(i, b)| (i + base, b)));
-        // New pending run: what trailed `seg` — prefixed by the old pending
-        // bits only when `seg` held no TIP and nothing cleared the run.
-        let new_pending_start =
-            if seg.tip_count() == 0 && !clears_at_0 { pending_start } else { self.bits.len() };
-        self.bits.extend_from_range(&seg.bits, seg.trailing.0 as usize, seg.trailing.1 as usize);
-        self.trailing = (new_pending_start as u32, (self.bits.len() - new_pending_start) as u32);
     }
 
     /// Discards the pending trailing run (OVF/resync at a seam).
@@ -701,8 +651,6 @@ pub fn scan_vectorized(buf: &[u8]) -> Result<FastScan, PacketError> {
                 pos = off;
             }
             None => {
-                out.truncated = true;
-                out.damage_at_head = true;
                 out.bytes_scanned = buf.len() as u64;
                 return Ok(out);
             }
@@ -721,10 +669,7 @@ pub fn scan_vectorized(buf: &[u8]) -> Result<FastScan, PacketError> {
                     last_ip = 0;
                     pos = off;
                 }
-                None => {
-                    out.truncated = true;
-                    break;
-                }
+                None => break,
             },
         }
     }
@@ -750,7 +695,7 @@ pub fn scan_vectorized(buf: &[u8]) -> Result<FastScan, PacketError> {
 pub fn scan_vectorized_segments(segs: &[&[u8]]) -> Result<FastScan, PacketError> {
     let mut c = crate::stream::StreamConsumer::new();
     let total: u64 = segs.iter().map(|s| s.len() as u64).sum();
-    c.drain_segments(segs, total)?;
+    c.drain(segs, total, usize::MAX, fg_trace::PhaseSpan::FastScan)?;
     Ok(c.into_scan())
 }
 
@@ -777,11 +722,7 @@ pub fn scan(buf: &[u8]) -> Result<FastScan, PacketError> {
                 parser = p;
             }
             None => {
-                // No sync point: nothing reliable to extract. The whole
-                // buffer is head damage — a later continuation syncs
-                // silently, as this probe would have.
-                out.truncated = true;
-                out.damage_at_head = true;
+                // No sync point: nothing reliable to extract.
                 out.bytes_scanned = buf.len() as u64;
                 return Ok(out);
             }
@@ -803,10 +744,7 @@ pub fn scan(buf: &[u8]) -> Result<FastScan, PacketError> {
                         core.run_start = out.bits.len();
                         continue;
                     }
-                    None => {
-                        out.truncated = true;
-                        break;
-                    }
+                    None => break,
                 }
             }
             Err(e) => return Err(e),
@@ -816,62 +754,6 @@ pub fn scan(buf: &[u8]) -> Result<FastScan, PacketError> {
     core.finish(&mut out);
     out.bytes_scanned = buf.len() as u64;
     Ok(out)
-}
-
-/// Splits a buffer into PSB-delimited segments for parallel scanning
-/// ("with the help of packet stream boundary (PSB) packets … this process can
-/// be done in parallel", §5.3). Returns `(offset, len)` pairs; the first
-/// segment starts at 0 if the head is parseable.
-pub fn segments(buf: &[u8]) -> Vec<(usize, usize)> {
-    let mut cuts = PacketParser::psb_offsets(buf);
-    if cuts.first() != Some(&0) {
-        cuts.insert(0, 0);
-    }
-    cuts.iter()
-        .enumerate()
-        .map(|(i, &start)| {
-            let end = cuts.get(i + 1).copied().unwrap_or(buf.len());
-            (start, end - start)
-        })
-        .filter(|&(_, len)| len > 0)
-        .collect()
-}
-
-/// Merges per-segment scans — `(absolute offset, scan)` in stream order —
-/// into one scan equal to a cold [`scan`] of the concatenated buffer.
-///
-/// This is the reduce step of parallel decoding: TNT runs cut at segment
-/// seams are stitched, per-segment `sync_offset`s are rebased to buffer
-/// coordinates, and a segment that ended inside damaged bytes is resolved
-/// against the next segment's PSB (with a [`Boundary::Resync`] for
-/// mid-stream damage, silently for head damage — matching what the serial
-/// scanner's own recovery would have produced).
-pub fn merge_segments(parts: impl IntoIterator<Item = (usize, FastScan)>) -> FastScan {
-    let mut merged = FastScan::default();
-    let mut first = true;
-    for (off, seg) in parts {
-        if merged.truncated {
-            // The previous segment ended in damage; this segment starts at
-            // the PSB the serial scanner would have recovered on.
-            merged.clear_pending();
-            if !merged.damage_at_head {
-                merged.boundaries.push((merged.tip_count(), Boundary::Resync));
-            }
-            merged.sync_offset.get_or_insert(off);
-            merged.damage_at_head = false;
-        }
-        if merged.sync_offset.is_none() {
-            merged.sync_offset = seg.sync_offset.map(|s| s + off);
-        }
-        if first {
-            merged.damage_at_head = seg.damage_at_head;
-            first = false;
-        }
-        merged.bytes_scanned += seg.bytes_scanned;
-        merged.append_segment(&seg);
-        merged.truncated = seg.truncated;
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -1062,122 +944,6 @@ mod tests {
         let scan = scan(&bytes).unwrap();
         assert_eq!(scan.boundaries, vec![(0, Boundary::Overflow)]);
         assert!(scan.tnt_vec(0).is_empty(), "pre-OVF TNT dropped");
-    }
-
-    #[test]
-    fn segments_cover_buffer() {
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.tip(0x40_0000);
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tip(0x40_0008);
-        enc.psb_plus(Some(0x40_0010), None);
-        enc.tip(0x40_0010);
-        let bytes = enc.into_sink();
-        let segs = segments(&bytes);
-        assert_eq!(segs.len(), 3);
-        let total: usize = segs.iter().map(|&(_, l)| l).sum();
-        assert_eq!(total, bytes.len());
-        assert_eq!(segs[0].0, 0);
-        // Scanning segments individually finds the same number of TIPs.
-        let n: usize = segs.iter().map(|&(o, l)| scan(&bytes[o..o + l]).unwrap().tip_count()).sum();
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn append_segment_stitches_cut_run() {
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.tip(0x40_0000);
-        enc.tnt_bit(true);
-        let head = enc.into_sink();
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tnt_bit(false);
-        enc.tip(0x40_0008);
-        enc.tnt_bit(true);
-        let tail = enc.into_sink();
-
-        let mut merged = scan(&head).unwrap();
-        merged.append_segment(&scan(&tail).unwrap());
-        assert_eq!(merged.tip_count(), 2);
-        assert_eq!(merged.tnt_vec(1), vec![true, false], "seam-cut run stitched");
-        assert_eq!(merged.trailing_tnt(), vec![true]);
-
-        // Equal to a cold scan of the concatenation.
-        let mut whole = head.clone();
-        whole.extend_from_slice(&tail);
-        let cold = scan(&whole).unwrap();
-        assert_eq!(cold.tip_events(), merged.tip_events());
-        assert_eq!(cold.trailing_tnt(), merged.trailing_tnt());
-    }
-
-    #[test]
-    fn merge_segments_equals_cold_scan() {
-        // Three PSB segments, TNT runs cut across both seams.
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.tip(0x40_0000);
-        enc.tnt_bit(true);
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tnt_bit(false);
-        enc.tip(0x40_0008);
-        enc.psb_plus(Some(0x40_0010), None);
-        enc.tnt_bit(true);
-        enc.tip(0x40_0010);
-        enc.tnt_bit(false);
-        let bytes = enc.into_sink();
-        let parts: Vec<(usize, FastScan)> = segments(&bytes)
-            .into_iter()
-            .map(|(off, len)| (off, scan(&bytes[off..off + len]).unwrap()))
-            .collect();
-        assert!(parts.len() > 1);
-        let merged = merge_segments(parts);
-        let cold = scan(&bytes).unwrap();
-        assert_eq!(merged, cold);
-    }
-
-    #[test]
-    fn merge_segments_resolves_mid_damage_at_next_psb() {
-        // Segment 1 ends in garbage (mid damage); segment 2 starts at a PSB.
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.tip(0x40_0000);
-        enc.tnt_bit(true);
-        let mut seg1 = enc.into_sink();
-        seg1.extend_from_slice(&[0x47, 0x13]); // damage, no PSB after
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tip(0x40_0008);
-        let seg2 = enc.into_sink();
-
-        let s1 = scan(&seg1).unwrap();
-        let s2 = scan(&seg2).unwrap();
-        let merged = merge_segments([(0, s1), (seg1.len(), s2)]);
-
-        let mut whole = seg1.clone();
-        whole.extend_from_slice(&seg2);
-        let cold = scan(&whole).unwrap();
-        assert_eq!(merged, cold);
-        assert_eq!(merged.boundaries, vec![(1, Boundary::Resync)]);
-        assert_eq!(merged.sync_offset, Some(seg1.len()));
-    }
-
-    #[test]
-    fn merge_segments_head_damage_syncs_silently() {
-        let garbage = vec![0x47u8, 0x13];
-        let mut enc = PacketEncoder::new(Vec::new());
-        enc.psb_plus(Some(0x40_0000), None);
-        enc.tip(0x40_0008);
-        let seg2 = enc.into_sink();
-
-        let s1 = scan(&garbage).unwrap();
-        assert!(s1.truncated && s1.damage_at_head);
-        let s2 = scan(&seg2).unwrap();
-        let merged = merge_segments([(0, s1), (garbage.len(), s2)]);
-
-        let mut whole = garbage.clone();
-        whole.extend_from_slice(&seg2);
-        let cold = scan(&whole).unwrap();
-        assert_eq!(merged, cold);
-        assert!(merged.boundaries.is_empty(), "head damage is not a resync");
-        assert_eq!(merged.sync_offset, Some(garbage.len()));
     }
 
     #[test]

@@ -15,12 +15,16 @@
 //!   regions and PMI generation;
 //! * [`msr`] — the `IA32_RTIT_*` MSR model with CPL and CR3 filtering;
 //! * [`fast`] — packet-level TIP/TNT extraction (FlowGuard's fast-path
-//!   primitive, no binary needed);
+//!   primitive, no binary needed): the scalar reference [`fast::scan`] and
+//!   the vectorized scanner every drain runs;
 //! * [`incremental`] — the checkpointed [`incremental::IncrementalScanner`]
-//!   that scans only bytes appended since the previous endpoint check;
-//! * [`stream`] — the continuous [`stream::StreamConsumer`] draining the
-//!   ToPA concurrently with execution, with frontier/residue tracking so a
-//!   syscall-time check is a frontier compare plus a residue scan;
+//!   that resumes scanning where it stopped, so only appended bytes are
+//!   ever decoded;
+//! * [`stream`] — [`stream::StreamConsumer`], the one trace-consumption
+//!   path: it drains the residue past its frontier straight from the
+//!   ToPA's borrowed regions under a byte budget, whether at an endpoint
+//!   check or concurrently with execution, so a syscall-time check is a
+//!   frontier compare plus a residue scan;
 //! * [`flow`] — the instruction-flow layer ([`flow::FlowDecoder`] over the
 //!   resumable [`flow::FlowMachine`]): the full, slow decoder that walks the
 //!   binary to reconstruct complete flow;

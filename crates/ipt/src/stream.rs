@@ -1,20 +1,21 @@
-//! Streaming ToPA consumption — the continuous trace consumer.
+//! Streaming ToPA consumption — the one trace consumer.
 //!
-//! FlowGuard's premise is that PT-based CFI stays cheap only when trace
-//! consumption keeps up with the hardware: the trace is drained
-//! *concurrently with execution*, so a syscall-time check finds an almost
-//! fully consumed buffer. [`StreamConsumer`] is that consumer: it tracks a
+//! FlowGuard's fast path needs only the packets appended since the last
+//! check: "it is not required to decode the whole ToPA buffer" (§5.3).
+//! [`StreamConsumer`] is the consumer every check goes through: it tracks a
 //! **frontier** (the monotone stream position, in the ToPA's
 //! `total_written` coordinates, up to which packets have been decoded) and
 //! drains the **residue** — the bytes the producer has written past the
-//! frontier — in chunks, whenever the host gives it a slice of CPU
-//! (periodic drain polls and region-full PMIs in the engine).
+//! frontier — from the borrowed ToPA regions.
 //!
-//! A check then degenerates to a frontier compare (`residue == 0`?) plus a
-//! scan of only the not-yet-drained residue, which is typically a handful
-//! of bytes. Wrap and OVF handling reuse [`IncrementalScanner`]'s
-//! checkpoint seams: a wrap past the frontier triggers one cold PSB
-//! re-synchronisation and is reported as a cold restart in [`DrainStats`].
+//! Who drains, and how much, is the engine's choice. Endpoint-time
+//! consumption drains only at checks, under a byte budget (the check
+//! window); streaming consumption also drains in the background at poll
+//! slots and region-fill PMIs, unbounded, so a syscall-time check is a
+//! frontier compare plus a scan of a handful of residue bytes. Wrap and OVF
+//! handling reuse [`IncrementalScanner`]'s checkpoint seams: a wrap past
+//! the frontier triggers one cold PSB re-synchronisation and is reported as
+//! a cold restart in [`DrainStats`].
 
 use crate::decode::PacketError;
 use crate::fast::{FastScan, IP_PAYLOAD_LEN};
@@ -150,12 +151,28 @@ impl StreamConsumer {
         self.residue(total_written) == 0
     }
 
-    /// Drains the residue from `chronological` (the most recent bytes of
-    /// the stream; the last `residue` bytes suffice) up to `total_written`.
+    /// Drains the residue — the bytes written past the frontier up to
+    /// `total_written` — from `segs`, the retained trace as a chronological
+    /// slice-of-slices view (for example
+    /// [`Topa::segments`](crate::topa::Topa::segments)). This is the one
+    /// trace-consumption path: background drains and endpoint checks alike.
     ///
-    /// Reuses the incremental checkpoint seams: mid-packet frontier splits
-    /// are carried across calls, and a wrap past the frontier performs one
-    /// cold PSB re-synchronisation over the retained window.
+    /// The residue is scanned **in place** from the borrowed slices; the
+    /// only bytes copied are the ≤ 15-byte fragments of a packet straddling
+    /// a segment seam (or cut by the frontier), carried in a small reused
+    /// buffer, plus the bounded wrap-recovery window. Both are counted in
+    /// [`DrainStats::copied_bytes`]. The result is bit-identical however
+    /// the same bytes are split into segments.
+    ///
+    /// `budget` bounds the bytes one drain scans (`usize::MAX` for no
+    /// bound). A residue in `(budget, retained]` skips to
+    /// `total_written - budget` and re-synchronises there; a residue beyond
+    /// the retained bytes (the buffer wrapped past the frontier)
+    /// cold-restarts on a PSB inside the last `budget` retained bytes,
+    /// copying only those. With a profiler wired
+    /// ([`StreamConsumer::set_profiler`]) a drain that found residue is
+    /// recorded as one `phase` span charged per drained byte; a drained
+    /// frontier records nothing.
     ///
     /// # Errors
     ///
@@ -163,53 +180,61 @@ impl StreamConsumer {
     /// callers typically [`StreamConsumer::skip_to`] past the damage.
     pub fn drain(
         &mut self,
-        chronological: &[u8],
-        total_written: u64,
-    ) -> Result<AppendInfo, PacketError> {
-        self.drain_segments(&[chronological], total_written)
-    }
-
-    /// [`StreamConsumer::drain`] over a chronological slice-of-slices view
-    /// (for example [`Topa::segments`](crate::topa::Topa::segments)) — the
-    /// zero-copy drain path. The residue is scanned **in place** from the
-    /// borrowed slices; the only bytes copied are the ≤ 15-byte fragments
-    /// of a packet straddling a segment seam (or cut by the frontier),
-    /// carried in a small reused buffer, plus the rare wrap-past-frontier
-    /// linearisation. Both are counted in [`DrainStats::copied_bytes`].
-    ///
-    /// Bit-identical to draining the linearised concatenation of `segs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PacketError`] when a PSB+ bundle itself is corrupt;
-    /// callers typically [`StreamConsumer::skip_to`] past the damage.
-    pub fn drain_segments(
-        &mut self,
         segs: &[&[u8]],
         total_written: u64,
+        budget: usize,
+        phase: PhaseSpan,
     ) -> Result<AppendInfo, PacketError> {
-        let delta = self.residue(total_written);
-        if delta == 0 {
+        if self.is_drained(total_written) {
             // The frontier compare: a withheld partial packet cannot
             // complete without new bytes either.
             return Ok(AppendInfo::default());
         }
+        let res = self.drain_residue(segs, total_written, budget);
+        if let Some((prof, cycles_per_byte)) = &self.profiler {
+            let bytes = res.as_ref().map_or(0, |info| info.new_bytes);
+            prof.record(phase, bytes as f64 * cycles_per_byte, bytes);
+        }
+        if let Ok(info) = &res {
+            if info.new_bytes > 0 || info.cold_restart {
+                self.stats.drains += 1;
+                self.stats.drained_bytes += info.new_bytes;
+                self.stats.cold_restarts += u64::from(info.cold_restart);
+            }
+        }
+        res
+    }
+
+    fn drain_residue(
+        &mut self,
+        segs: &[&[u8]],
+        total_written: u64,
+        budget: usize,
+    ) -> Result<AppendInfo, PacketError> {
         let retained: usize = segs.iter().map(|s| s.len()).sum();
+        let mut delta = self.residue(total_written);
         if delta > retained as u64 {
             // Wrap past the frontier: the withheld bytes were overwritten
             // along with everything else before the retained window; the
-            // scanner cold-restarts on a PSB inside it. This is the one
-            // path that linearises (sync search must cross every seam) —
-            // rare, bounded by the retained window, and counted.
+            // scanner cold-restarts on a PSB inside its last `budget`
+            // bytes. This is the one path that linearises (sync search
+            // must cross every seam) — rare, bounded, and counted.
             self.pending.clear();
             self.wrap_scratch.clear();
-            for s in segs {
-                self.wrap_scratch.extend_from_slice(s);
+            let mut skip = retained.saturating_sub(budget);
+            for seg in segs {
+                let s = skip.min(seg.len());
+                skip -= s;
+                self.wrap_scratch.extend_from_slice(&seg[s..]);
             }
-            self.stats.copied_bytes += retained as u64;
-            let info = self.scanner.advance(&self.wrap_scratch, total_written, retained)?;
-            self.record(&info);
-            return Ok(info);
+            self.stats.copied_bytes += self.wrap_scratch.len() as u64;
+            return self.scanner.advance(&self.wrap_scratch, total_written, budget);
+        }
+        if delta > budget as u64 {
+            // More was appended than one drain may scan: abandon the
+            // excess and re-synchronise inside the kept tail.
+            self.skip_to(total_written - budget as u64);
+            delta = budget as u64;
         }
         // Walk the segments, skipping everything before the frontier, and
         // feed each in-place piece through the packet-boundary carve.
@@ -224,7 +249,6 @@ impl StreamConsumer {
             skip = 0;
             self.feed_piece(piece, &mut acc)?;
         }
-        self.record(&acc);
         Ok(acc)
     }
 
@@ -288,66 +312,11 @@ impl StreamConsumer {
         Ok(())
     }
 
-    /// Wires the cycle-attribution profiler: subsequent
-    /// [`StreamConsumer::drain_profiled`] calls record their work as spans,
-    /// charging `cycles_per_byte` (the cost model's per-byte scan cost) for
-    /// every drained byte.
+    /// Wires the cycle-attribution profiler: subsequent drains record
+    /// their work as spans, charging `cycles_per_byte` (the cost model's
+    /// per-byte scan cost) for every drained byte.
     pub fn set_profiler(&mut self, profiler: Arc<SpanProfiler>, cycles_per_byte: f64) {
         self.profiler = Some((profiler, cycles_per_byte));
-    }
-
-    /// [`StreamConsumer::drain`] plus span attribution: the drained bytes
-    /// are recorded as a [`PhaseSpan::StreamDrain`] span when `background`
-    /// (poll-slot and PMI drains that overlap execution) or a
-    /// [`PhaseSpan::ResidueScan`] span otherwise (check-time residue work
-    /// charged to the intercepted syscall). Without a wired profiler this
-    /// is exactly `drain`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamConsumer::drain`]'s [`PacketError`]; the span (with
-    /// zero drained bytes) is still recorded.
-    pub fn drain_profiled(
-        &mut self,
-        chronological: &[u8],
-        total_written: u64,
-        background: bool,
-    ) -> Result<AppendInfo, PacketError> {
-        self.drain_segments_profiled(&[chronological], total_written, background)
-    }
-
-    /// [`StreamConsumer::drain_segments`] plus span attribution — the
-    /// zero-copy analogue of [`StreamConsumer::drain_profiled`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StreamConsumer::drain_segments`]'s [`PacketError`]; the
-    /// span (with zero drained bytes) is still recorded.
-    pub fn drain_segments_profiled(
-        &mut self,
-        segs: &[&[u8]],
-        total_written: u64,
-        background: bool,
-    ) -> Result<AppendInfo, PacketError> {
-        let Some((prof, cycles_per_byte)) = self.profiler.clone() else {
-            return self.drain_segments(segs, total_written);
-        };
-        let phase = if background { PhaseSpan::StreamDrain } else { PhaseSpan::ResidueScan };
-        let mut guard = prof.enter(phase);
-        let res = self.drain_segments(segs, total_written);
-        if let Ok(info) = &res {
-            guard.add_cycles(info.new_bytes as f64 * cycles_per_byte);
-            guard.set_detail(info.new_bytes);
-        }
-        res
-    }
-
-    fn record(&mut self, info: &AppendInfo) {
-        if info.new_bytes > 0 || info.cold_restart {
-            self.stats.drains += 1;
-            self.stats.drained_bytes += info.new_bytes;
-            self.stats.cold_restarts += u64::from(info.cold_restart);
-        }
     }
 
     /// The accumulated scan (everything drained so far, minus compaction).
@@ -398,6 +367,15 @@ mod tests {
     use crate::fast;
     use crate::topa::Topa;
 
+    /// An unbounded drain of one linear buffer.
+    fn drain_all(
+        c: &mut StreamConsumer,
+        bytes: &[u8],
+        total: u64,
+    ) -> Result<AppendInfo, PacketError> {
+        c.drain(&[bytes], total, usize::MAX, PhaseSpan::StreamDrain)
+    }
+
     #[test]
     fn framed_append_withholds_cut_tail_packets() {
         // Every split point of a well-formed stream: the consumer must
@@ -407,9 +385,9 @@ mod tests {
         let cold = fast::scan(&stream).unwrap();
         for cut in 1..stream.len() {
             let mut c = StreamConsumer::new();
-            c.drain(&stream[..cut], cut as u64).unwrap();
+            drain_all(&mut c, &stream[..cut], cut as u64).unwrap();
             assert_eq!(c.frontier(), cut as u64, "cut {cut}: frontier covers withheld bytes");
-            c.drain(&stream, stream.len() as u64).unwrap();
+            drain_all(&mut c, &stream, stream.len() as u64).unwrap();
             assert_eq!(c.scan().tip_events(), cold.tip_events(), "cut {cut}");
             assert_eq!(c.scan().boundaries, cold.boundaries, "cut {cut}");
             assert_eq!(c.scan().trailing_tnt(), cold.trailing_tnt(), "cut {cut}");
@@ -436,7 +414,7 @@ mod tests {
         let stream = sample_stream();
         let mut c = StreamConsumer::new();
         assert!(c.is_drained(0));
-        let info = c.drain(&stream, stream.len() as u64).unwrap();
+        let info = drain_all(&mut c, &stream, stream.len() as u64).unwrap();
         assert_eq!(info.new_bytes, stream.len() as u64);
         assert_eq!(c.frontier(), stream.len() as u64);
         assert!(c.is_drained(stream.len() as u64));
@@ -449,8 +427,8 @@ mod tests {
     fn drained_frontier_drain_is_free() {
         let stream = sample_stream();
         let mut c = StreamConsumer::new();
-        c.drain(&stream, stream.len() as u64).unwrap();
-        let info = c.drain(&stream, stream.len() as u64).unwrap();
+        drain_all(&mut c, &stream, stream.len() as u64).unwrap();
+        let info = drain_all(&mut c, &stream, stream.len() as u64).unwrap();
         assert_eq!(info, AppendInfo::default());
         assert_eq!(c.stats().drains, 1, "frontier compare only, no drain accounted");
     }
@@ -462,7 +440,7 @@ mod tests {
         let mut end = 0usize;
         while end < stream.len() {
             end = (end + 5).min(stream.len());
-            c.drain(&stream[..end], end as u64).unwrap();
+            drain_all(&mut c, &stream[..end], end as u64).unwrap();
         }
         let cold = fast::scan(&stream).unwrap();
         assert_eq!(c.scan().tip_events(), cold.tip_events());
@@ -471,53 +449,83 @@ mod tests {
     }
 
     #[test]
-    fn residue_tail_drain_from_topa() {
-        // Drains driven from Topa::tail_into see exactly the residue bytes.
-        let mut topa = Topa::two_regions(4096).unwrap();
-        let mut c = StreamConsumer::new();
-        let mut tail = Vec::new();
-        let stream = sample_stream();
-        let mut written = 0usize;
-        for chunk in stream.chunks(3) {
-            topa.write_packet(chunk);
-            written += chunk.len();
-            let total = topa.total_written();
-            assert_eq!(total, written as u64);
-            topa.tail_into(c.residue(total) as usize, &mut tail);
-            c.drain(&tail, total).unwrap();
-            assert!(c.is_drained(total));
-        }
-        let cold = fast::scan(&stream).unwrap();
-        assert_eq!(c.scan().tip_events(), cold.tip_events());
-    }
-
-    #[test]
-    fn profiled_drains_attribute_spans_by_context() {
+    fn drains_attribute_spans_by_phase() {
         let stream = sample_stream();
         let mut c = StreamConsumer::new();
         let prof = Arc::new(SpanProfiler::new(true));
         c.set_profiler(Arc::clone(&prof), 2.0);
         let half = stream.len() / 2;
         // A background (poll/PMI) drain lands in StreamDrain…
-        c.drain_profiled(&stream[..half], half as u64, true).unwrap();
+        c.drain(&[&stream[..half]], half as u64, usize::MAX, PhaseSpan::StreamDrain).unwrap();
         // …and a check-time residue drain in ResidueScan.
-        c.drain_profiled(&stream, stream.len() as u64, false).unwrap();
+        let total = stream.len() as u64;
+        c.drain(&[&stream], total, usize::MAX, PhaseSpan::ResidueScan).unwrap();
+        // A drained frontier is a compare, not a span.
+        c.drain(&[&stream], total, usize::MAX, PhaseSpan::ResidueScan).unwrap();
         assert_eq!(prof.phase_spans(PhaseSpan::StreamDrain), 1);
         assert_eq!(prof.phase_spans(PhaseSpan::ResidueScan), 1);
-        let total =
+        let cycles =
             prof.phase_cycles(PhaseSpan::StreamDrain) + prof.phase_cycles(PhaseSpan::ResidueScan);
         assert!(
-            (total - stream.len() as f64 * 2.0).abs() < 1e-9,
+            (cycles - stream.len() as f64 * 2.0).abs() < 1e-9,
             "every drained byte is charged at cycles_per_byte"
         );
-        // The profiled result is bit-identical to a plain drain.
+        // The profiled result is bit-identical to an unwired drain.
         let mut plain = StreamConsumer::new();
-        plain.drain(&stream, stream.len() as u64).unwrap();
+        drain_all(&mut plain, &stream, total).unwrap();
         assert_eq!(c.scan().tip_events(), plain.scan().tip_events());
-        // An unwired consumer records nothing through drain_profiled.
-        let mut bare = StreamConsumer::new();
-        bare.drain_profiled(&stream, stream.len() as u64, true).unwrap();
-        assert_eq!(bare.stats().drained_bytes, stream.len() as u64);
+        assert_eq!(plain.stats().drained_bytes, total);
+    }
+
+    /// A stream of `n` PSB-led blocks, each carrying a few TIPs.
+    fn psb_blocks(n: u64) -> Vec<u8> {
+        let mut enc = PacketEncoder::new(Vec::new());
+        for b in 0..n {
+            enc.psb_plus(Some(0x40_0000), None);
+            for i in 0..6u64 {
+                enc.tnt_bit(i % 2 == 0);
+                enc.tip(0x50_0000 + b * 0x100 + i * 8);
+            }
+        }
+        enc.into_sink()
+    }
+
+    #[test]
+    fn budget_skips_excess_residue_and_resyncs() {
+        let stream = psb_blocks(8);
+        let block = psb_blocks(1).len();
+        let total = stream.len() as u64;
+        let budget = stream.len() / 3;
+        let mut c = StreamConsumer::new();
+        drain_all(&mut c, &stream[..block], block as u64).unwrap();
+        let info = c.drain(&[&stream], total, budget, PhaseSpan::FastScan).unwrap();
+        assert!(!info.cold_restart, "the residue is retained: a skip, not a wrap");
+        assert_eq!(c.frontier(), total);
+        assert_eq!(c.stats().copied_bytes, 0, "a skip copies nothing");
+        assert!(info.new_bytes <= budget as u64);
+        // The kept tail scans like a cold scan synchronised on its first
+        // PSB, and the skip seam is a Resync boundary.
+        let cold = fast::scan(&stream[stream.len() - budget..]).unwrap();
+        assert_eq!(c.scan().tip_events()[6..], cold.tip_events());
+        assert_eq!(c.scan().boundaries, vec![(6, crate::fast::Boundary::Resync)]);
+    }
+
+    #[test]
+    fn bounded_wrap_copies_only_the_budget() {
+        let old = psb_blocks(1);
+        let fresh = psb_blocks(6);
+        let budget = fresh.len() / 2;
+        let mut c = StreamConsumer::new();
+        drain_all(&mut c, &old, old.len() as u64).unwrap();
+        let total = (old.len() + 10 * fresh.len()) as u64;
+        let third = fresh.len() / 3;
+        let segs: [&[u8]; 2] = [&fresh[..third], &fresh[third..]];
+        let info = c.drain(&segs, total, budget, PhaseSpan::FastScan).unwrap();
+        assert!(info.cold_restart);
+        assert_eq!(c.frontier(), total);
+        assert_eq!(c.stats().copied_bytes, budget as u64, "only the budget tail is linearised");
+        let cold = fast::scan(&fresh[fresh.len() - budget..]).unwrap();
+        assert_eq!(c.scan().tip_events()[6..], cold.tip_events());
     }
 
     #[test]
@@ -528,9 +536,9 @@ mod tests {
         for cut in 1..stream.len() {
             let segs: Vec<&[u8]> = vec![&stream[..cut], &stream[cut..]];
             let mut seg = StreamConsumer::new();
-            seg.drain_segments(&segs, stream.len() as u64).unwrap();
+            seg.drain(&segs, stream.len() as u64, usize::MAX, PhaseSpan::StreamDrain).unwrap();
             let mut lin = StreamConsumer::new();
-            lin.drain(&stream, stream.len() as u64).unwrap();
+            drain_all(&mut lin, &stream, stream.len() as u64).unwrap();
             assert_eq!(seg.scan().tip_events(), lin.scan().tip_events(), "cut at {cut}");
             assert_eq!(seg.scan().boundaries, lin.scan().boundaries, "cut at {cut}");
             assert_eq!(seg.scan().trailing_tnt(), lin.scan().trailing_tnt(), "cut at {cut}");
@@ -557,7 +565,7 @@ mod tests {
             // packet-aligned frontiers.
             topa.write_packet(&stream[p.offset..p.offset + p.len]);
             let total = topa.total_written();
-            c.drain_segments(&topa.segments(), total).unwrap();
+            c.drain(&topa.segments(), total, usize::MAX, PhaseSpan::StreamDrain).unwrap();
             assert!(c.is_drained(total));
         }
         let cold = fast::scan(&stream).unwrap();
@@ -590,7 +598,7 @@ mod tests {
             // Vary the chunk size so cuts land at every packet phase.
             step = step % 7 + 1;
             end = (end + step).min(stream.len());
-            c.drain(&stream[..end], end as u64).unwrap();
+            drain_all(&mut c, &stream[..end], end as u64).unwrap();
             match cap_after_warmup {
                 None => {
                     if c.pending.capacity() > 0 {
@@ -622,11 +630,13 @@ mod tests {
         let fresh = enc.into_sink();
 
         let mut c = StreamConsumer::new();
-        c.drain_segments(&[&old], old.len() as u64).unwrap();
+        c.drain(&[&old], old.len() as u64, usize::MAX, PhaseSpan::StreamDrain).unwrap();
         assert_eq!(c.stats().copied_bytes, 0);
         let total = (old.len() + 10 * fresh.len()) as u64;
         let half = fresh.len() / 2;
-        let info = c.drain_segments(&[&fresh[..half], &fresh[half..]], total).unwrap();
+        let info = c
+            .drain(&[&fresh[..half], &fresh[half..]], total, usize::MAX, PhaseSpan::StreamDrain)
+            .unwrap();
         assert!(info.cold_restart);
         assert_eq!(c.stats().cold_restarts, 1);
         assert_eq!(c.frontier(), total);
@@ -646,9 +656,9 @@ mod tests {
         let fresh = enc.into_sink();
 
         let mut c = StreamConsumer::new();
-        c.drain(&old, old.len() as u64).unwrap();
+        drain_all(&mut c, &old, old.len() as u64).unwrap();
         let total = (old.len() + 10 * fresh.len()) as u64;
-        let info = c.drain(&fresh, total).unwrap();
+        let info = drain_all(&mut c, &fresh, total).unwrap();
         assert!(info.cold_restart);
         assert_eq!(c.stats().cold_restarts, 1);
         assert_eq!(c.generation(), 1);

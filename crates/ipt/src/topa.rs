@@ -228,38 +228,6 @@ impl Topa {
         }
     }
 
-    /// Copies the most recent `n` chronological bytes into `out` (clearing
-    /// it first) — the tail of [`Topa::chronological`] without copying the
-    /// whole buffer. Retained for bounded cold windows; the streaming
-    /// residue read is zero-copy via [`Topa::segments`] instead.
-    pub fn tail_into(&self, n: usize, out: &mut Vec<u8>) {
-        out.clear();
-        if n == 0 {
-            return;
-        }
-        let parts = self.segments();
-        // Walk backwards from the newest part until `n` bytes are covered,
-        // then emit the covered suffix in chronological order.
-        let mut need = n;
-        let mut start = parts.len();
-        while start > 0 && need > 0 {
-            start -= 1;
-            let take = parts[start].len().min(need);
-            need -= take;
-            if need == 0 {
-                out.extend_from_slice(&parts[start][parts[start].len() - take..]);
-                for p in &parts[start + 1..] {
-                    out.extend_from_slice(p);
-                }
-                return;
-            }
-        }
-        // Fewer than `n` bytes retained: everything survives the cut.
-        for p in parts {
-            out.extend_from_slice(p);
-        }
-    }
-
     fn advance_region(&mut self) {
         let flags = self.regions[self.cur].flags;
         if flags.int {

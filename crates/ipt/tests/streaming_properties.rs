@@ -10,7 +10,17 @@ use fg_ipt::fast::{self, FastScan};
 use fg_ipt::stream::StreamConsumer;
 use fg_ipt::topa::Topa;
 use fg_ipt::{scan_vectorized, PacketParser};
+use fg_trace::PhaseSpan;
 use proptest::prelude::*;
+
+/// One unbounded drain of `segs` up to `total`.
+fn drain(
+    c: &mut StreamConsumer,
+    segs: &[&[u8]],
+    total: u64,
+) -> Result<fg_ipt::AppendInfo, fg_ipt::PacketError> {
+    c.drain(segs, total, usize::MAX, PhaseSpan::StreamDrain)
+}
 
 /// The fuzz alphabet for well-formed trace streams: a raw `(selector,
 /// value, flag)` tuple decoded into one encoder action. The selector is
@@ -87,7 +97,7 @@ proptest! {
         let mut cut = cuts.iter().cycle();
         while end < stream.len() {
             end = (end + cut.next().unwrap()).min(stream.len());
-            c.drain(&stream[..end], end as u64).unwrap();
+            drain(&mut c, &[&stream[..end]], end as u64).unwrap();
         }
         let cold = fast::scan(&stream).unwrap();
         assert_stream_eq(c.scan(), &cold);
@@ -116,7 +126,7 @@ proptest! {
         let mut end = 0usize;
         while end < stream.len() {
             end = (end + cut).min(stream.len());
-            c.drain(&stream[..end], end as u64).unwrap();
+            drain(&mut c, &[&stream[..end]], end as u64).unwrap();
         }
         assert_stream_eq(c.scan(), &fast::scan(&stream).unwrap());
     }
@@ -133,19 +143,16 @@ proptest! {
         let stream = encode(&stream_ops);
         let mut topa = Topa::two_regions(4096).unwrap();
         let mut c = StreamConsumer::new();
-        let mut tail = Vec::new();
         for (i, byte) in stream.iter().enumerate() {
             topa.write_packet(&[*byte]);
             if i % period == period - 1 {
                 let total = topa.total_written();
-                topa.tail_into(c.residue(total) as usize, &mut tail);
-                c.drain(&tail, total).unwrap();
+                drain(&mut c, &topa.segments(), total).unwrap();
                 prop_assert!(c.is_drained(total));
             }
         }
         let total = topa.total_written();
-        topa.tail_into(c.residue(total) as usize, &mut tail);
-        c.drain(&tail, total).unwrap();
+        drain(&mut c, &topa.segments(), total).unwrap();
         prop_assert!(c.is_drained(total));
         prop_assert_eq!(total, stream.len() as u64);
         if c.generation() == 0 {
@@ -229,9 +236,9 @@ proptest! {
                 if written.is_multiple_of(period) {
                     let total = seg_topa.total_written();
                     let segs = seg_topa.segments();
-                    seg_c.drain_segments(&segs, total).unwrap();
+                    drain(&mut seg_c, &segs, total).unwrap();
                     lin_topa.chronological_into(&mut lin_buf);
-                    lin_c.drain(&lin_buf, total).unwrap();
+                    drain(&mut lin_c, &[&lin_buf], total).unwrap();
                     prop_assert!(seg_c.is_drained(total));
                     prop_assert_eq!(segs.concat(), lin_buf.clone(),
                         "segmented view must reassemble the flight-record window");
@@ -240,9 +247,9 @@ proptest! {
             }
         }
         let total = seg_topa.total_written();
-        seg_c.drain_segments(&seg_topa.segments(), total).unwrap();
+        drain(&mut seg_c, &seg_topa.segments(), total).unwrap();
         lin_topa.chronological_into(&mut lin_buf);
-        lin_c.drain(&lin_buf, total).unwrap();
+        drain(&mut lin_c, &[&lin_buf], total).unwrap();
         assert_stream_eq(seg_c.scan(), lin_c.scan());
         prop_assert_eq!(seg_c.frontier(), lin_c.frontier());
         prop_assert_eq!(seg_c.generation(), lin_c.generation());
@@ -256,6 +263,55 @@ proptest! {
             "copied {} bytes over {} seam carries",
             stats.copied_bytes, stats.seam_carries
         );
+    }
+
+    /// Budgeted drains — the endpoint-time consumption path: the same
+    /// producer as above, drained only every `period` packets under a byte
+    /// budget, so drains skip excess residue and cold-restart inside the
+    /// budget after wraps. The segmented drain must equal a drain of the
+    /// linearized window under the same budget, and no drain may scan more
+    /// than its budget.
+    #[test]
+    fn budgeted_segmented_drain_equals_linearized(
+        stream_ops in ops(),
+        period in 1usize..48,
+        reps in 1usize..4,
+        budget in 16usize..3000,
+    ) {
+        let stream = encode(&stream_ops);
+        let packets = fg_ipt::decode::decode_all(&stream).unwrap();
+        let mut topa = Topa::two_regions(4096).unwrap();
+        let mut seg_c = StreamConsumer::new();
+        let mut lin_c = StreamConsumer::new();
+        let mut written = 0usize;
+        for _ in 0..reps {
+            for p in &packets {
+                topa.write_packet(&stream[p.offset..p.offset + p.len]);
+                written += 1;
+                if written.is_multiple_of(period) {
+                    let total = topa.total_written();
+                    let lin = topa.chronological();
+                    let a = seg_c.drain(&topa.segments(), total, budget, PhaseSpan::FastScan);
+                    let b = lin_c.drain(&[&lin], total, budget, PhaseSpan::FastScan);
+                    match (a, b) {
+                        (Ok(a), Ok(b)) => {
+                            prop_assert_eq!(a, b);
+                            prop_assert!(a.new_bytes <= budget as u64);
+                        }
+                        (Err(a), Err(b)) => {
+                            prop_assert_eq!(a, b);
+                            seg_c.skip_to(total);
+                            lin_c.skip_to(total);
+                        }
+                        (a, b) => prop_assert!(false, "drain divergence ({a:?} vs {b:?})"),
+                    }
+                    prop_assert!(seg_c.is_drained(total));
+                }
+            }
+        }
+        assert_stream_eq(seg_c.scan(), lin_c.scan());
+        prop_assert_eq!(seg_c.generation(), lin_c.generation());
+        prop_assert_eq!(seg_c.stats().drained_bytes, lin_c.stats().drained_bytes);
     }
 
     /// OVF storms through the segmented cursor: overflow packets clear TNT
@@ -286,9 +342,9 @@ proptest! {
             start = end;
         }
         let mut seg_c = StreamConsumer::new();
-        seg_c.drain_segments(&segs, total).unwrap();
+        drain(&mut seg_c, &segs, total).unwrap();
         let mut lin_c = StreamConsumer::new();
-        lin_c.drain(&stream, total).unwrap();
+        drain(&mut lin_c, &[&stream], total).unwrap();
         assert_stream_eq(seg_c.scan(), lin_c.scan());
         prop_assert_eq!(seg_c.frontier(), lin_c.frontier());
     }
@@ -312,9 +368,9 @@ proptest! {
             start = end;
         }
         let mut lin_c = StreamConsumer::new();
-        let lin_res = lin_c.drain(&bytes, total);
+        let lin_res = drain(&mut lin_c, &[&bytes], total);
         let mut seg_c = StreamConsumer::new();
-        let seg_res = seg_c.drain_segments(&segs, total);
+        let seg_res = drain(&mut seg_c, &segs, total);
         match (lin_res, seg_res) {
             (Ok(_), Ok(_)) => assert_stream_eq(seg_c.scan(), lin_c.scan()),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),

@@ -125,26 +125,3 @@ fn slow_path_cache_warms_within_a_run() {
         s.slow_invocations
     );
 }
-
-/// Parallel PSB-segment scanning is exactly equivalent to serial scanning
-/// when enabled on the engine path.
-#[test]
-fn parallel_decode_config_is_equivalent() {
-    let w = fg_workloads::vsftpd();
-    let mut d = Deployment::analyze(&w.image);
-    d.train(std::slice::from_ref(&w.default_input));
-    let serial = {
-        let mut p = d.launch(&w.default_input, FlowGuardConfig::default());
-        p.run(500_000_000);
-        let s = p.stats.snapshot();
-        (s.checks, s.fast_clean, s.pairs_checked)
-    };
-    let parallel = {
-        let cfg = FlowGuardConfig { parallel_decode: true, ..Default::default() };
-        let mut p = d.launch(&w.default_input, cfg);
-        p.run(500_000_000);
-        let s = p.stats.snapshot();
-        (s.checks, s.fast_clean, s.pairs_checked)
-    };
-    assert_eq!(serial, parallel);
-}
