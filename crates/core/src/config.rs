@@ -175,6 +175,22 @@ impl FlowGuardConfig {
         assert!(self.pkt_count > 0, "pkt_count must be positive");
         assert!(self.consumer_poll_period > 0, "consumer_poll_period must be positive");
     }
+
+    /// The trace-poll cadence a protected machine runs at, in retired
+    /// instructions: `None` with streaming off, since nothing consumes
+    /// poll slots then; the borrowed-slot period
+    /// ([`fg_cpu::machine::TRACE_POLL_PERIOD`]) with streaming on; and
+    /// [`FlowGuardConfig::consumer_poll_period`] when a dedicated consumer
+    /// thread drains on its own core.
+    pub fn trace_poll_period(&self) -> Option<u64> {
+        if !self.streaming {
+            None
+        } else if self.consumer_thread {
+            Some(self.consumer_poll_period)
+        } else {
+            Some(fg_cpu::machine::TRACE_POLL_PERIOD)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -198,6 +214,7 @@ mod tests {
         assert!(c.profile_spans, "span attribution rides on telemetry by default");
         assert!(c.tier0_bitset);
         c.validate();
+        assert_eq!(c.trace_poll_period(), None, "no consumer, no poll slots");
     }
 
     #[test]

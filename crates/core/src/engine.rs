@@ -674,9 +674,7 @@ mod tests {
         let engine = FlowGuardEngine::new(w.image.clone(), ocfg, itc, cfg.clone(), cr3);
         let stats = engine.stats_handle();
         let mut m = Machine::new(&w.image, cr3);
-        if cfg.streaming && cfg.consumer_thread {
-            m.set_trace_poll_period(cfg.consumer_poll_period);
-        }
+        m.set_trace_poll_period(cfg.trace_poll_period());
         let mut unit = IptUnit::flowguard(cr3, Topa::two_regions(cfg.topa_region_bytes).unwrap());
         unit.start(w.image.entry(), cr3);
         m.trace = TraceUnit::Ipt(unit);

@@ -297,10 +297,7 @@ impl FleetSupervisor {
 
         let mut machine = Machine::new(&d.image, cr3);
         machine.cost = self.cfg.cost;
-        if self.cfg.flowguard.streaming && self.cfg.flowguard.consumer_thread {
-            // Pooled consumers wake at their own cadence, same as solo.
-            machine.set_trace_poll_period(self.cfg.flowguard.consumer_poll_period);
-        }
+        machine.set_trace_poll_period(self.cfg.flowguard.trace_poll_period());
 
         let mut kernel = Kernel::with_input(input);
         kernel.install_interceptor(Box::new(SharedEngine(Arc::clone(&engine))));

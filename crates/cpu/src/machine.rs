@@ -88,11 +88,13 @@ pub struct SyscallCtx<'a> {
     pub extra_cycles: &'a mut CycleAccount,
 }
 
-/// How often [`Machine::run`] offers the kernel a trace-poll slot: once
-/// every this many retired instructions (when an IPT unit is attached).
-/// This stands in for the slice of CPU a background trace consumer gets on
-/// real hardware; FlowGuard's streaming mode drains the ToPA residue here
-/// so syscall-time checks find an almost fully consumed buffer.
+/// The trace-poll cadence of a consumer that borrows the traced core: one
+/// slot every this many retired instructions. It stands in for the slice
+/// of CPU a background trace consumer gets on real hardware; FlowGuard's
+/// streaming mode drains the ToPA residue here so syscall-time checks find
+/// an almost fully consumed buffer. A machine offers slots only when its
+/// launcher set a period ([`Machine::set_trace_poll_period`]) — that is,
+/// only when something consumes them.
 pub const TRACE_POLL_PERIOD: u64 = 64;
 
 /// The simulated kernel's syscall entry point.
@@ -111,11 +113,13 @@ pub trait SyscallHandler {
         SysOutcome::Continue
     }
 
-    /// Periodic trace-poll slot, offered every [`TRACE_POLL_PERIOD`]
-    /// retired instructions while an IPT unit is attached. Unlike
-    /// [`SyscallHandler::pmi`] this cannot stop the process — it only lets
-    /// a streaming consumer drain the trace concurrently with execution.
-    /// The default does nothing.
+    /// Periodic trace-poll slot, offered once every
+    /// [`Machine::trace_poll_period`] retired instructions while an IPT
+    /// unit is attached — and never when the period is `None`, the default
+    /// for a machine with no trace consumer. Unlike [`SyscallHandler::pmi`]
+    /// this cannot stop the process — it only lets a streaming consumer
+    /// drain the trace concurrently with execution. The default does
+    /// nothing.
     fn trace_poll(&mut self, _ctx: &mut SyscallCtx<'_>) {}
 }
 
@@ -194,11 +198,13 @@ pub struct Machine {
     pub coverage: Option<CoverageMap>,
     /// Optional ground-truth branch log.
     pub branch_log: Option<Vec<BranchEvent>>,
-    /// How often a trace-poll slot is offered, in retired instructions.
-    /// Defaults to [`TRACE_POLL_PERIOD`] (the slice a *borrowed* poll slot
-    /// gets); a dedicated consumer thread on its own core wakes more often
-    /// and sets this lower ([`Machine::set_trace_poll_period`]).
-    pub trace_poll_period: u64,
+    /// How often a trace-poll slot is offered, in retired instructions:
+    /// on every multiple of the period. `None` (the default) offers no
+    /// slots. A streaming consumer borrowing the core's slots sets
+    /// [`TRACE_POLL_PERIOD`]; a dedicated consumer thread on its own core
+    /// wakes more often and sets a smaller period
+    /// ([`Machine::set_trace_poll_period`]).
+    pub trace_poll_period: Option<u64>,
 }
 
 impl Machine {
@@ -219,16 +225,17 @@ impl Machine {
             cofi_retired: 0,
             coverage: None,
             branch_log: None,
-            trace_poll_period: TRACE_POLL_PERIOD,
+            trace_poll_period: None,
         }
     }
 
-    /// Overrides the trace-poll cadence (clamped to at least 1): the
-    /// wakeup clock of a trace consumer. [`TRACE_POLL_PERIOD`] models a
-    /// consumer borrowing the traced core's poll slots; a dedicated
-    /// consumer thread runs on its own core and wakes at a finer cadence.
-    pub fn set_trace_poll_period(&mut self, period: u64) {
-        self.trace_poll_period = period.max(1);
+    /// Sets the trace-poll cadence (clamped to at least 1): the wakeup
+    /// clock of a trace consumer, or `None` when nothing consumes the
+    /// slots. [`TRACE_POLL_PERIOD`] models a consumer borrowing the traced
+    /// core's poll slots; a dedicated consumer thread runs on its own core
+    /// and wakes at a finer cadence.
+    pub fn set_trace_poll_period(&mut self, period: Option<u64>) {
+        self.trace_poll_period = period.map(|p| p.max(1));
     }
 
     /// Turns on AFL-style coverage collection (the "QEMU instrumentation").
@@ -243,6 +250,10 @@ impl Machine {
         self
     }
 
+    /// Retires one CoFI. Forced inline, with [`TraceUnit::on_cofi`], into
+    /// each branch arm of [`Machine::step`], so the arm's constant `kind`
+    /// picks the encoder path at compile time.
+    #[inline(always)]
     fn on_branch(&mut self, kind: CofiKind, from: u64, to: u64, taken: bool) {
         self.cofi_retired += 1;
         let c = self.trace.on_cofi(&self.cost, kind, from, to, taken, self.cr3);
@@ -257,19 +268,36 @@ impl Machine {
     }
 
     /// Runs until a stop condition, with an instruction budget.
+    ///
+    /// After each retired instruction the machine delivers a pending
+    /// trace-buffer PMI, then offers a trace-poll slot if the retired count
+    /// reached a multiple of [`Machine::trace_poll_period`]. Both are
+    /// event-driven: the poll slot is a countdown to the next multiple, and
+    /// the ToPA's PMI flag is probed only after an iteration that could
+    /// have written trace — the first of the run, a CoFI or syscall step,
+    /// or one whose PMI or poll handler ran — which finds every PMI a
+    /// probe after every instruction would.
     pub fn run(&mut self, kernel: &mut dyn SyscallHandler, max_insns: u64) -> StopReason {
-        let start = self.insns_retired;
+        let end = self.insns_retired.saturating_add(max_insns);
+        let period = self.trace_poll_period;
+        let mut next_poll = period.map_or(u64::MAX, |p| next_multiple(self.insns_retired, p));
+        let mut probe_pmi = true;
         loop {
-            if self.insns_retired - start >= max_insns {
+            if self.insns_retired >= end {
                 return StopReason::InsnLimit;
             }
+            let cofi_before = self.cofi_retired;
             match self.step(kernel) {
                 Ok(None) => {}
                 Ok(Some(stop)) => return stop,
                 Err(fault) => return StopReason::Fault(fault),
             }
             // Deliver a pending trace-buffer PMI (ToPA INT region filled).
-            if self.trace.as_ipt().is_some_and(|u| u.topa().pmi_pending()) {
+            let may_have_written =
+                std::mem::take(&mut probe_pmi) || self.cofi_retired != cofi_before;
+            if may_have_written && self.trace.as_ipt().is_some_and(|u| u.topa().pmi_pending()) {
+                // The handler may leave the PMI pending or write trace.
+                probe_pmi = true;
                 let mut extra = CycleAccount::default();
                 let outcome = {
                     let mut ctx = SyscallCtx {
@@ -289,19 +317,22 @@ impl Machine {
                 }
             }
             // Periodic trace-poll slot for the streaming consumer.
-            if self.insns_retired.is_multiple_of(self.trace_poll_period)
-                && self.trace.as_ipt().is_some()
-            {
-                let mut extra = CycleAccount::default();
-                let mut ctx = SyscallCtx {
-                    cpu: &mut self.cpu,
-                    mem: &mut self.mem,
-                    trace: &mut self.trace,
-                    cr3: self.cr3,
-                    extra_cycles: &mut extra,
-                };
-                kernel.trace_poll(&mut ctx);
-                self.account.absorb(&extra);
+            if self.insns_retired == next_poll {
+                next_poll = period.map_or(u64::MAX, |p| next_multiple(self.insns_retired, p));
+                if self.trace.as_ipt().is_some() {
+                    // The consumer may write trace (a TNT flush).
+                    probe_pmi = true;
+                    let mut extra = CycleAccount::default();
+                    let mut ctx = SyscallCtx {
+                        cpu: &mut self.cpu,
+                        mem: &mut self.mem,
+                        trace: &mut self.trace,
+                        cr3: self.cr3,
+                        extra_cycles: &mut extra,
+                    };
+                    kernel.trace_poll(&mut ctx);
+                    self.account.absorb(&extra);
+                }
             }
         }
     }
@@ -470,6 +501,12 @@ impl Machine {
         }
         Ok(None)
     }
+}
+
+/// The smallest multiple of `period` strictly above `n` (`u64::MAX` if it
+/// overflows, which no run reaches).
+fn next_multiple(n: u64, period: u64) -> u64 {
+    (n / period + 1).saturating_mul(period)
 }
 
 #[cfg(test)]

@@ -27,30 +27,87 @@ pub struct BtsRecord {
     pub to: u64,
 }
 
-/// Branch Trace Store unit: full fidelity, no decoding, very high overhead.
-#[derive(Debug, Clone, Default)]
-pub struct BtsUnit {
-    records: Vec<BtsRecord>,
+/// A bounded history, oldest first, that evicts its oldest entry when a
+/// push finds it full — the circular buffers of BTS, LBR and the RET
+/// compression stack.
+///
+/// Eviction is amortised O(1) and the live entries stay one contiguous
+/// slice: they occupy `buf[start..]`, an eviction only advances `start`,
+/// and the dead prefix is compacted away once it reaches `capacity`
+/// entries, so `buf` never holds more than `2 * capacity - 1`.
+#[derive(Debug, Clone)]
+struct History<T> {
+    buf: Vec<T>,
+    start: usize,
     capacity: usize,
+}
+
+impl<T> History<T> {
+    fn new(capacity: usize) -> History<T> {
+        History { buf: Vec::new(), start: 0, capacity }
+    }
+
+    /// Appends `x`, evicting the oldest entry if the history is full. A
+    /// zero-capacity history records nothing.
+    #[inline]
+    fn push(&mut self, x: T) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.buf.len() - self.start == self.capacity {
+            self.start += 1;
+            if self.start == self.capacity {
+                self.buf.drain(..self.start);
+                self.start = 0;
+            }
+        }
+        self.buf.push(x);
+    }
+
+    /// Removes and returns the newest entry.
+    #[inline]
+    fn pop(&mut self) -> Option<T> {
+        if self.buf.len() > self.start {
+            self.buf.pop()
+        } else {
+            None
+        }
+    }
+
+    /// The live entries, oldest first.
+    #[inline]
+    fn as_slice(&self) -> &[T] {
+        &self.buf[self.start..]
+    }
+}
+
+/// Branch Trace Store unit: full fidelity, no decoding, very high overhead.
+#[derive(Debug, Clone)]
+pub struct BtsUnit {
+    records: History<BtsRecord>,
+}
+
+impl Default for BtsUnit {
+    fn default() -> BtsUnit {
+        BtsUnit::new(0)
+    }
 }
 
 impl BtsUnit {
     /// Creates a BTS unit with a circular buffer of `capacity` records.
     pub fn new(capacity: usize) -> BtsUnit {
-        BtsUnit { records: Vec::with_capacity(capacity.min(4096)), capacity }
+        BtsUnit { records: History::new(capacity) }
     }
 
-    /// Records a transfer.
+    /// Records a transfer, overwriting the oldest record when the buffer
+    /// is full.
     pub fn record(&mut self, from: u64, to: u64) {
-        if self.records.len() == self.capacity {
-            self.records.remove(0);
-        }
         self.records.push(BtsRecord { from, to });
     }
 
     /// The recorded transfers, oldest first.
     pub fn records(&self) -> &[BtsRecord] {
-        &self.records
+        self.records.as_slice()
     }
 }
 
@@ -94,15 +151,14 @@ impl LbrFilter {
 /// Last Branch Record stack: 16 or 32 most recent pairs.
 #[derive(Debug, Clone)]
 pub struct LbrUnit {
-    stack: Vec<BtsRecord>,
-    depth: usize,
+    stack: History<BtsRecord>,
     filter: LbrFilter,
 }
 
 impl LbrUnit {
     /// Creates an LBR with the given depth (16 or 32 on real parts).
     pub fn new(depth: usize, filter: LbrFilter) -> LbrUnit {
-        LbrUnit { stack: Vec::with_capacity(depth), depth, filter }
+        LbrUnit { stack: History::new(depth), filter }
     }
 
     /// Records a transfer if the filter admits it.
@@ -110,41 +166,84 @@ impl LbrUnit {
         if !self.filter.admits(kind) {
             return;
         }
-        if self.stack.len() == self.depth {
-            self.stack.remove(0);
-        }
         self.stack.push(BtsRecord { from, to });
     }
 
     /// The register stack, oldest first (at most `depth` entries —
     /// "it can only record 16 or 32 most recent branch pairs", §2).
     pub fn stack(&self) -> &[BtsRecord] {
-        &self.stack
+        self.stack.as_slice()
     }
 
     /// Configured depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.stack.capacity
     }
 }
 
 /// Depth of the hardware RET-compression stack.
 const RET_STACK_DEPTH: usize = 64;
 
+/// The `IA32_RTIT_*` admission verdict for user-mode events, latched as
+/// WRMSR latches it: [`IptMsrs::should_trace`] is evaluated when the MSRs
+/// are written and again only when an event arrives from a CR3 other than
+/// the last one. A process that keeps its CR3 pays one compare per CoFI
+/// instead of the CTL bit tests and the CR3 filter lookup. The default is
+/// the latch of the all-zero MSR file, which traces nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Admission {
+    cr3: u64,
+    traced: bool,
+}
+
+impl Admission {
+    fn latch(msrs: &IptMsrs, cr3: u64) -> Admission {
+        Admission { cr3, traced: msrs.should_trace(true, cr3) }
+    }
+
+    #[inline]
+    fn admits(&mut self, msrs: &IptMsrs, cr3: u64) -> bool {
+        if cr3 != self.cr3 {
+            *self = Admission::latch(msrs, cr3);
+        }
+        self.traced
+    }
+}
+
 /// The IPT unit: MSR file + packet encoder writing into a ToPA.
+///
+/// The MSRs are fixed at construction, and the filters they program are
+/// latched then: per CoFI the unit tests the latched admission, the ToPA
+/// STOP bit, and the ADDR0 range only when ADDR0 filtering is on.
 #[derive(Debug)]
 pub struct IptUnit {
-    /// The `IA32_RTIT_*` register file.
-    pub msrs: IptMsrs,
+    msrs: IptMsrs,
+    admission: Admission,
+    /// The inclusive ADDR0 range, when `ADDR0_CFG` enables it.
+    addr0: Option<(u64, u64)>,
+    /// RET compression on (`DisRETC` clear).
+    retc: bool,
     enc: PacketEncoder<Topa>,
     psb_period: u64,
     /// The hardware RET-compression stack (active when `DisRETC` is clear):
     /// a `ret` whose target matches the recorded call site compresses to a
     /// single taken-TNT bit instead of a TIP.
-    ret_stack: Vec<u64>,
+    ret_stack: History<u64>,
 }
 
 impl IptUnit {
+    fn new(msrs: IptMsrs, topa: Topa, psb_period: u64) -> IptUnit {
+        IptUnit {
+            admission: Admission::latch(&msrs, msrs.cr3_match),
+            addr0: msrs.ctl.addr0_filter().then_some((msrs.addr0_a, msrs.addr0_b)),
+            retc: !msrs.ctl.dis_retc(),
+            msrs,
+            enc: PacketEncoder::new(topa),
+            psb_period,
+            ret_stack: History::new(RET_STACK_DEPTH),
+        }
+    }
+
     /// Creates an IPT unit with FlowGuard's §5.1 configuration: user-only
     /// CoFI tracing, CR3-filtered to `cr3`, ToPA output with two regions.
     pub fn flowguard(cr3: u64, topa: Topa) -> IptUnit {
@@ -153,12 +252,17 @@ impl IptUnit {
             cr3_match: cr3,
             ..Default::default()
         };
-        IptUnit { msrs, enc: PacketEncoder::new(topa), psb_period: 512, ret_stack: Vec::new() }
+        IptUnit::new(msrs, topa, 512)
     }
 
     /// Creates a unit with explicit MSRs (for non-FlowGuard configurations).
     pub fn with_msrs(msrs: IptMsrs, topa: Topa) -> IptUnit {
-        IptUnit { msrs, enc: PacketEncoder::new(topa), psb_period: 1024, ret_stack: Vec::new() }
+        IptUnit::new(msrs, topa, 1024)
+    }
+
+    /// The `IA32_RTIT_*` register file the unit was configured with.
+    pub fn msrs(&self) -> &IptMsrs {
+        &self.msrs
     }
 
     /// Sets the PSB cadence in trace bytes.
@@ -166,9 +270,11 @@ impl IptUnit {
         self.psb_period = bytes;
     }
 
-    /// Whether this unit traces the given context.
-    pub fn active(&self, cpl_user: bool, cr3: u64) -> bool {
-        self.msrs.should_trace(cpl_user, cr3) && !self.enc.sink().stopped()
+    /// Whether this unit traces a user-mode event from `cr3`: the latched
+    /// MSR filters pass it and no STOP region has halted the ToPA.
+    #[inline]
+    fn admits(&mut self, cr3: u64) -> bool {
+        self.admission.admits(&self.msrs, cr3) && !self.enc.sink().stopped()
     }
 
     /// Emits the trace-start PSB+ (also used for periodic re-sync).
@@ -177,6 +283,7 @@ impl IptUnit {
     }
 
     /// Total packet bytes emitted.
+    #[inline]
     pub fn bytes_emitted(&self) -> u64 {
         self.enc.bytes_emitted()
     }
@@ -190,6 +297,7 @@ impl IptUnit {
 
     /// Access to the ToPA buffer (what the kernel module reads at check
     /// time).
+    #[inline]
     pub fn topa(&self) -> &Topa {
         self.enc.sink()
     }
@@ -214,6 +322,7 @@ impl IptUnit {
         self.trace_segments().concat()
     }
 
+    #[inline]
     fn maybe_psb(&mut self, next_ip: u64, cr3: u64) {
         if self.enc.bytes_since_psb() >= self.psb_period {
             self.enc.psb_plus(Some(next_ip), Some(cr3));
@@ -221,10 +330,24 @@ impl IptUnit {
     }
 }
 
+/// Modeled cost of `bytes` of trace output. Most CoFIs (direct branches,
+/// TNT bits still in the shift register) emit nothing and are charged
+/// exactly `0.0`, which is what `0 * ipt_byte_cycles` would have been.
+#[inline]
+fn byte_cycles(cost: &CostModel, bytes: u64) -> f64 {
+    if bytes == 0 {
+        0.0
+    } else {
+        bytes as f64 * cost.ipt_byte_cycles
+    }
+}
+
 /// Encodes one CoFI event into an IPT unit (the Table 3 packet taxonomy),
 /// returning the tracing cost in cycles. Shared by the single-process
 /// [`TraceUnit::Ipt`] path and the per-CR3 routing of
-/// [`TraceUnit::MultiIpt`].
+/// [`TraceUnit::MultiIpt`]. Forced inline for the reason
+/// [`TraceUnit::on_cofi`] is.
+#[inline(always)]
 fn ipt_on_cofi(
     u: &mut IptUnit,
     cost: &CostModel,
@@ -234,31 +357,25 @@ fn ipt_on_cofi(
     taken: bool,
     cr3: u64,
 ) -> f64 {
-    if !u.active(true, cr3) || !u.msrs.ip_in_filter(from) {
+    if !u.admits(cr3) || u.addr0.is_some_and(|(a, b)| from < a || from > b) {
         return 0.0;
     }
     let before = u.enc.bytes_emitted();
-    let retc = !u.msrs.ctl.dis_retc();
     match kind {
         CofiKind::CondBranch => u.enc.tnt_bit(taken),
-        CofiKind::IndCall | CofiKind::DirectCall if retc => {
+        CofiKind::IndCall | CofiKind::DirectCall if u.retc => {
             // Track the call for RET compression.
-            if u.ret_stack.len() == RET_STACK_DEPTH {
-                u.ret_stack.remove(0);
-            }
             u.ret_stack.push(from + fg_isa::insn::INSN_SIZE);
             if kind == CofiKind::IndCall {
                 u.enc.tip(to);
             }
         }
-        CofiKind::Ret if retc => {
+        CofiKind::Ret if u.retc => {
             // Compressed return: a matching target is one taken
             // TNT bit; a mismatch emits a full TIP.
-            if u.ret_stack.last() == Some(&to) {
-                u.ret_stack.pop();
+            if u.ret_stack.pop() == Some(to) {
                 u.enc.tnt_bit(true);
             } else {
-                u.ret_stack.pop();
                 u.enc.tip(to);
             }
         }
@@ -270,7 +387,7 @@ fn ipt_on_cofi(
         CofiKind::DirectJmp | CofiKind::DirectCall | CofiKind::None => {}
     }
     u.maybe_psb(to, cr3);
-    (u.enc.bytes_emitted() - before) as f64 * cost.ipt_byte_cycles
+    byte_cycles(cost, u.enc.bytes_emitted() - before)
 }
 
 /// Per-core multi-process IPT front-end — the §7.2.4 "configurable multi-CR3
@@ -290,6 +407,8 @@ pub struct MultiIptUnit {
     /// The core-level filter: `cr3_match` holds the first admitted CR3,
     /// `cr3_match_extra` the rest.
     msrs: IptMsrs,
+    /// The core filter's latched verdict; re-latched on every MSR write.
+    admission: Admission,
     units: Vec<(u64, IptUnit)>,
     current: usize,
 }
@@ -298,7 +417,17 @@ impl MultiIptUnit {
     /// Creates an empty multi-CR3 unit with FlowGuard's §5.1 CTL bits.
     pub fn new() -> MultiIptUnit {
         let msrs = IptMsrs { ctl: fg_ipt::msr::RtitCtl::flowguard_default(), ..Default::default() };
-        MultiIptUnit { msrs, units: Vec::new(), current: 0 }
+        MultiIptUnit {
+            admission: Admission::latch(&msrs, msrs.cr3_match),
+            msrs,
+            units: Vec::new(),
+            current: 0,
+        }
+    }
+
+    /// Re-latches the core filter after an MSR write.
+    fn relatch(&mut self) {
+        self.admission = Admission::latch(&self.msrs, self.admission.cr3);
     }
 
     /// Admits a CR3 into the filter and allocates its private ToPA buffer.
@@ -313,6 +442,7 @@ impl MultiIptUnit {
         } else {
             self.msrs.cr3_match_extra.push(cr3);
         }
+        self.relatch();
         self.units.push((cr3, IptUnit::flowguard(cr3, topa)));
         true
     }
@@ -344,6 +474,7 @@ impl MultiIptUnit {
         }
         self.msrs.cr3_match = cr3;
         self.msrs.cr3_match_extra.clear();
+        self.relatch();
         true
     }
 
@@ -370,6 +501,20 @@ impl MultiIptUnit {
     /// Mutable access to a per-CR3 sub-unit.
     pub fn unit_mut(&mut self, cr3: u64) -> Option<&mut IptUnit> {
         self.units.iter_mut().find(|(c, _)| *c == cr3).map(|(_, u)| u)
+    }
+
+    /// The sub-unit an event from `cr3` is written to, if the core-level
+    /// filter admits it: the selected process's unit when the CR3 is its
+    /// own (the steady state between context switches), else a search.
+    #[inline]
+    fn route(&mut self, cr3: u64) -> Option<&mut IptUnit> {
+        if !self.admission.admits(&self.msrs, cr3) {
+            return None;
+        }
+        if self.current_cr3() == Some(cr3) {
+            return self.current_unit_mut();
+        }
+        self.unit_mut(cr3)
     }
 
     fn current_unit(&self) -> Option<&IptUnit> {
@@ -402,6 +547,10 @@ impl TraceUnit {
     ///
     /// `next_ip` is the address of the next instruction to execute after the
     /// transfer (used for PSB sync points).
+    ///
+    /// Forced inline: the interpreter calls this with a constant `kind` per
+    /// instruction class, and inlining folds the kind dispatch away.
+    #[inline(always)]
     pub fn on_cofi(
         &mut self,
         cost: &CostModel,
@@ -414,17 +563,12 @@ impl TraceUnit {
         match self {
             TraceUnit::Off => 0.0,
             TraceUnit::Ipt(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
-            TraceUnit::MultiIpt(m) => {
-                // The core-level multi-CR3 filter decides admission; the
-                // event's CR3 then selects the per-process ToPA buffer.
-                if !m.msrs.should_trace(true, cr3) {
-                    return 0.0;
-                }
-                match m.unit_mut(cr3) {
-                    Some(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
-                    None => 0.0,
-                }
-            }
+            // The core-level multi-CR3 filter decides admission; the
+            // event's CR3 then selects the per-process ToPA buffer.
+            TraceUnit::MultiIpt(m) => match m.route(cr3) {
+                Some(u) => ipt_on_cofi(u, cost, kind, from, to, taken, cr3),
+                None => 0.0,
+            },
             TraceUnit::Bts(u) => {
                 if kind == CofiKind::None {
                     return 0.0;
@@ -443,19 +587,19 @@ impl TraceUnit {
     pub fn on_syscall_resume(&mut self, cost: &CostModel, resume_ip: u64, cr3: u64) -> f64 {
         let u = match self {
             TraceUnit::Ipt(u) => u,
-            TraceUnit::MultiIpt(m) if m.msrs.should_trace(true, cr3) => match m.unit_mut(cr3) {
+            TraceUnit::MultiIpt(m) => match m.route(cr3) {
                 Some(u) => u,
                 None => return 0.0,
             },
             _ => return 0.0,
         };
-        if !u.active(true, cr3) {
+        if !u.admits(cr3) {
             return 0.0;
         }
         let before = u.enc.bytes_emitted();
         u.enc.tip_pge(resume_ip);
         u.maybe_psb(resume_ip, cr3);
-        (u.enc.bytes_emitted() - before) as f64 * cost.ipt_byte_cycles
+        byte_cycles(cost, u.enc.bytes_emitted() - before)
     }
 
     /// The IPT unit, if that is what is configured. For a multi-CR3 unit
@@ -631,7 +775,7 @@ mod tests {
         assert!(m.set_current(0x5000) && !m.set_current(0x7777));
         assert_eq!(m.current_cr3(), Some(0x5000));
         // as_ipt now resolves to the selected process's sub-unit.
-        assert_eq!(t.as_ipt().unwrap().msrs.cr3_match, 0x5000);
+        assert_eq!(t.as_ipt().unwrap().msrs().cr3_match, 0x5000);
     }
 
     #[test]
@@ -717,6 +861,35 @@ mod tests {
         u.record(3, 3);
         assert_eq!(u.records().len(), 2);
         assert_eq!(u.records()[0].from, 2, "oldest evicted");
+    }
+
+    #[test]
+    fn history_matches_a_front_evicting_vec() {
+        // The RET-compression stack's mix of pushes and pops, against the
+        // `Vec::remove(0)` eviction it replaced.
+        for capacity in [0, 1, 2, 3, 64] {
+            let mut h = History::new(capacity);
+            let mut want: Vec<u64> = Vec::new();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..2000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(3) {
+                    assert_eq!(h.pop(), want.pop());
+                } else if capacity > 0 {
+                    if want.len() == capacity {
+                        want.remove(0);
+                    }
+                    want.push(i);
+                    h.push(i);
+                } else {
+                    h.push(i);
+                }
+                assert_eq!(h.as_slice(), want.as_slice());
+                assert!(h.buf.len() < 2 * capacity.max(1));
+            }
+        }
     }
 
     #[test]

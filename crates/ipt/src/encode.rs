@@ -72,21 +72,25 @@ impl<S: TraceSink> PacketEncoder<S> {
     }
 
     /// Total bytes emitted so far.
+    #[inline]
     pub fn bytes_emitted(&self) -> u64 {
         self.bytes_emitted
     }
 
     /// Bytes emitted since the last PSB (drives PSB cadence).
+    #[inline]
     pub fn bytes_since_psb(&self) -> u64 {
         self.bytes_since_psb
     }
 
     /// Access to the sink.
+    #[inline]
     pub fn sink(&self) -> &S {
         &self.sink
     }
 
     /// Mutable access to the sink.
+    #[inline]
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }
@@ -97,6 +101,7 @@ impl<S: TraceSink> PacketEncoder<S> {
         self.sink
     }
 
+    #[inline]
     fn emit(&mut self, bytes: &[u8]) {
         if self.sink.is_stopped() {
             return;
@@ -107,7 +112,9 @@ impl<S: TraceSink> PacketEncoder<S> {
     }
 
     /// Records a conditional-branch outcome, emitting a short TNT packet
-    /// when the shift register fills.
+    /// when the shift register fills. Forced inline: most CoFIs are
+    /// conditional branches, and this is all the work they cost.
+    #[inline(always)]
     pub fn tnt_bit(&mut self, taken: bool) {
         self.tnt.push(taken);
         if self.tnt.is_short_full() {

@@ -98,6 +98,7 @@ impl TntSeq {
     /// # Panics
     ///
     /// Panics if the sequence already holds [`LONG_TNT_MAX`] bits.
+    #[inline]
     pub fn push(&mut self, taken: bool) {
         assert!(self.len < LONG_TNT_MAX, "TNT sequence overflow");
         self.bits = (self.bits << 1) | taken as u64;
@@ -105,6 +106,7 @@ impl TntSeq {
     }
 
     /// Number of outcomes held.
+    #[inline]
     pub fn len(&self) -> u8 {
         self.len
     }
@@ -115,6 +117,7 @@ impl TntSeq {
     }
 
     /// Whether the sequence is full for a short TNT packet.
+    #[inline]
     pub fn is_short_full(&self) -> bool {
         self.len >= SHORT_TNT_MAX
     }
@@ -135,6 +138,7 @@ impl TntSeq {
     }
 
     /// The raw shift-register value (newest outcome in bit 0).
+    #[inline]
     pub fn raw_bits(&self) -> u64 {
         self.bits
     }

@@ -143,26 +143,31 @@ impl Topa {
     }
 
     /// Monotone count of bytes ever written (including overwritten ones).
+    #[inline]
     pub fn total_written(&self) -> u64 {
         self.total_written
     }
 
     /// Whether the buffer has wrapped at least once.
+    #[inline]
     pub fn has_wrapped(&self) -> bool {
         self.wrapped
     }
 
     /// Whether a PMI is pending; clears the flag (interrupt acknowledge).
+    #[inline]
     pub fn take_pmi(&mut self) -> bool {
         std::mem::take(&mut self.pmi_pending)
     }
 
     /// Whether a PMI is pending, without acknowledging it.
+    #[inline]
     pub fn pmi_pending(&self) -> bool {
         self.pmi_pending
     }
 
     /// Whether a STOP region filled and tracing halted.
+    #[inline]
     pub fn stopped(&self) -> bool {
         self.stopped
     }
@@ -245,10 +250,15 @@ impl Topa {
         }
         self.regions[self.cur].buf.clear();
     }
-}
 
-impl TraceSink for Topa {
-    fn write_packet(&mut self, bytes: &[u8]) {
+    /// Writes a packet that does not fit in the current region (or arrives
+    /// after STOP): fills the region, crosses into the next one — raising a
+    /// PMI on an `INT` region, halting on a `STOP` region, wrapping at the
+    /// END entry — and repeats until the packet is written or tracing
+    /// stopped.
+    #[cold]
+    #[inline(never)]
+    fn write_packet_crossing(&mut self, bytes: &[u8]) {
         if self.stopped {
             return;
         }
@@ -269,7 +279,28 @@ impl TraceSink for Topa {
             rest = &rest[n..];
         }
     }
+}
 
+impl TraceSink for Topa {
+    /// Appends a packet. The common case — the whole packet fits in the
+    /// current region — is one compare and one copy; region crossing, PMI,
+    /// STOP and wrap take [`Topa::write_packet_crossing`]. A region that
+    /// fills exactly stays current: the crossing (and its PMI) happens on
+    /// the next byte, as on the hardware. No STOP test is needed here:
+    /// tracing stops only on crossing out of a full STOP region, which
+    /// then stays current and full.
+    #[inline]
+    fn write_packet(&mut self, bytes: &[u8]) {
+        let region = &mut self.regions[self.cur];
+        if bytes.len() <= region.size - region.buf.len() {
+            region.buf.extend_from_slice(bytes);
+            self.total_written += bytes.len() as u64;
+        } else {
+            self.write_packet_crossing(bytes);
+        }
+    }
+
+    #[inline]
     fn is_stopped(&self) -> bool {
         self.stopped
     }

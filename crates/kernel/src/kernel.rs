@@ -48,8 +48,10 @@ pub trait SyscallInterceptor {
         InterceptVerdict::Allow
     }
 
-    /// Runs at the machine's periodic trace-poll slot (see
-    /// [`fg_cpu::machine::TRACE_POLL_PERIOD`]). The streaming consumer
+    /// Runs at the machine's periodic trace-poll slot, which exists only
+    /// when the process's launcher set a poll period — that is, when a
+    /// streaming consumer reads the trace (see
+    /// [`fg_cpu::machine::Machine::trace_poll_period`]). The consumer
     /// drains the ToPA residue here, concurrently with execution; it cannot
     /// render a verdict. Default: nothing.
     fn on_trace_poll(&mut self, _ctx: &mut SyscallCtx<'_>) {}
