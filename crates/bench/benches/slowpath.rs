@@ -1,10 +1,14 @@
-//! Criterion benches for the slow path: serial vs. PSB-sharded flow decode,
-//! cold vs. checkpointed incremental checking, and the full policy check.
+//! Criterion benches for the slow path: the serial flow walk, serial vs.
+//! PSB-sharded flow decode, cold vs. checkpointed incremental checking, and
+//! the full policy check.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fg_bench::experiments::slowpath::{decode_serial_ref, decode_sharded_pool};
+use fg_bench::experiments::slowpath::{
+    decode_serial_ref, decode_sharded_pool, engine_window, ENGINE_WINDOW_BYTES,
+};
 use fg_cpu::{CostModel, IptUnit, Machine, TraceUnit};
 use fg_ipt::topa::Topa;
+use fg_ipt::{FlowDecoder, FlowMachine};
 use flowguard::slowpath::{self, SlowScratch};
 use flowguard::WorkerPool;
 
@@ -26,6 +30,25 @@ fn setup() -> Setup {
     m.trace.as_ipt_mut().expect("ipt").flush();
     let trace = m.trace.as_ipt().expect("ipt").trace_bytes();
     Setup { image: w.image.clone(), ocfg, trace }
+}
+
+/// The flow walk alone: one reused machine (no allocation), over the whole
+/// trace and over an engine-sized escalation window.
+fn bench_walk(c: &mut Criterion) {
+    let s = setup();
+    let decoder = FlowDecoder::new(&s.image);
+    let mut m = FlowMachine::new(false);
+    let window = engine_window(&s.trace, ENGINE_WINDOW_BYTES);
+    let mut g = c.benchmark_group("flow_walk");
+    g.throughput(Throughput::Bytes(s.trace.len() as u64));
+    g.bench_function("serial_trace", |b| {
+        b.iter(|| decoder.decode_with(&s.trace, &mut m).map(|()| m.trace().insns_walked));
+    });
+    g.throughput(Throughput::Bytes(window.len() as u64));
+    g.bench_function("serial_engine_window", |b| {
+        b.iter(|| decoder.decode_with(window, &mut m).map(|()| m.trace().insns_walked));
+    });
+    g.finish();
 }
 
 fn bench_decode(c: &mut Criterion) {
@@ -96,6 +119,6 @@ criterion_group! {
     config = Criterion::default().sample_size(
         if std::env::var_os("FG_BENCH_QUICK").is_some() { 10 } else { 15 },
     );
-    targets = bench_decode, bench_check
+    targets = bench_walk, bench_decode, bench_check
 }
 criterion_main!(benches);

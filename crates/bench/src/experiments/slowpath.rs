@@ -8,7 +8,10 @@
 //! the serial decode of the same window — the modeled ratio is what CI
 //! gates, since wall-clock parallelism depends on host core count), and
 //! the decode checkpoint (instructions actually decoded across a run of
-//! overlapping windows, warm vs. cold). The numbers land in
+//! overlapping windows, warm vs. cold). Two wall-clock columns time a cold
+//! check of the engine's largest (~16 KiB) escalation window serially and
+//! on the worker pool, the comparison behind the engine's serial
+//! escalation decode (DESIGN.md, slow-path section). The numbers land in
 //! `BENCH_slowpath.json`; CI gates the hardware-independent ratios —
 //! decode speedup, checkpoint instruction ratio, checkpoint hit rate —
 //! against the checked-in baseline.
@@ -34,6 +37,11 @@ pub const DECODE_WORKERS: usize = 4;
 
 /// Overlapping windows in the checkpoint workload.
 pub const CHECKPOINT_WINDOWS: usize = 8;
+
+/// The engine's largest escalation window at the default `pkt_count` (30):
+/// a lineage of at most four 3300-byte check budgets plus the bytes
+/// appended since, ~16 KiB.
+pub const ENGINE_WINDOW_BYTES: usize = 16 * 1024;
 
 /// One full measurement, serialised as `BENCH_slowpath.json`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -62,6 +70,16 @@ pub struct SlowpathBench {
     pub serial_check_us: f64,
     /// The same check with the shard fan-out on the pool, in µs.
     pub sharded_check_us: f64,
+    /// Median cold check of an [`ENGINE_WINDOW_BYTES`] PSB-synced tail of
+    /// the trace, serial, in µs — how the engine checks an escalation.
+    /// Wall-clock; informational, never gated.
+    #[serde(default)]
+    pub engine_window_serial_check_us: f64,
+    /// The same window checked with its shards fanned out on the global
+    /// worker pool, in µs: the hand-off the engine no longer pays.
+    /// Wall-clock; informational, never gated.
+    #[serde(default)]
+    pub engine_window_pooled_check_us: f64,
     /// Windows in the checkpoint workload.
     pub checkpoint_windows: u64,
     /// Instructions decoded across the workload with a fresh scratch per
@@ -125,6 +143,28 @@ fn time_per_iter<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
     best
+}
+
+/// Median wall-clock seconds of one call of `f` over `runs` calls (after a
+/// warm-up call): per-call timings, so a slow pool hand-off shows.
+fn median_secs<O>(runs: usize, mut f: impl FnMut() -> O) -> f64 {
+    std::hint::black_box(f());
+    let mut t: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    t.sort_by(f64::total_cmp);
+    t[t.len() / 2]
+}
+
+/// The last ~`bytes` of `trace`, starting at a PSB (the engine's tail
+/// window).
+pub fn engine_window(trace: &[u8], bytes: usize) -> &[u8] {
+    let from = trace.len().saturating_sub(bytes);
+    &trace[fg_ipt::find_psb(trace, from).unwrap_or(0)..]
 }
 
 /// The decode half of the slow path, sharded: independent [`decode_shard`]
@@ -283,6 +323,23 @@ pub fn run() -> SlowpathBench {
         )
     });
 
+    // Cold checks at the engine's window size: serial, and fanned out on
+    // the pool the engine used to hand escalations to.
+    let window = engine_window(&s.trace, ENGINE_WINDOW_BYTES);
+    let window_serial_sec = median_secs(200, || slowpath::check(&s.image, &s.ocfg, window, &cost));
+    let window_pooled_sec = median_secs(200, || {
+        let mut scratch = SlowScratch::new();
+        slowpath::check_incremental(
+            &s.image,
+            &s.ocfg,
+            window,
+            0,
+            &cost,
+            Some(WorkerPool::global()),
+            &mut scratch,
+        )
+    });
+
     // Checkpointed re-decode avoidance over overlapping windows.
     let (cold_insns, _, _) = checkpoint_workload(&s, &cost, false);
     let (warm_insns, hits, misses) = checkpoint_workload(&s, &cost, true);
@@ -299,6 +356,8 @@ pub fn run() -> SlowpathBench {
         sharded_decode_speedup: speedup,
         serial_check_us: check_serial_sec * 1e6,
         sharded_check_us: check_sharded_sec * 1e6,
+        engine_window_serial_check_us: window_serial_sec * 1e6,
+        engine_window_pooled_check_us: window_pooled_sec * 1e6,
         checkpoint_windows: CHECKPOINT_WINDOWS as u64,
         cold_insns_decoded: cold_insns,
         warm_insns_decoded: warm_insns,
@@ -333,6 +392,8 @@ pub fn print_table(b: &SlowpathBench) {
     t.row(vec!["sharded decode speedup (modeled)".into(), fmt(b.sharded_decode_speedup, 2)]);
     t.row(vec!["cold check serial µs".into(), fmt(b.serial_check_us, 0)]);
     t.row(vec!["cold check sharded µs".into(), fmt(b.sharded_check_us, 0)]);
+    t.row(vec!["16 KiB window check serial µs".into(), fmt(b.engine_window_serial_check_us, 0)]);
+    t.row(vec!["16 KiB window check pooled µs".into(), fmt(b.engine_window_pooled_check_us, 0)]);
     t.row(vec!["checkpoint windows".into(), fmt(b.checkpoint_windows as f64, 0)]);
     t.row(vec!["cold insns decoded".into(), fmt(b.cold_insns_decoded as f64, 0)]);
     t.row(vec!["warm insns decoded".into(), fmt(b.warm_insns_decoded as f64, 0)]);

@@ -16,19 +16,23 @@ use fg_bench::experiments::{fastpath, slowpath, streaming};
 use flowguard::{CheckEvent, CheckVerdict, FlowGuardConfig};
 
 /// A deployment config written before the engine had one trace-consumption
-/// path: it still carries the two since-removed scan-mode knobs, which must
-/// be ignored, not rejected.
+/// path and a serial slow path: it still carries the two since-removed
+/// scan-mode knobs and the since-removed `parallel_slow_path` knob, which
+/// must be ignored, not rejected.
 #[test]
 fn pre_unified_consumer_config_parses() {
     let text = include_str!("fixtures/flowguard_config_scan_knobs.json");
+    assert!(text.contains("\"parallel_slow_path\":true"), "fixture carries the removed knob");
     let cfg: FlowGuardConfig = serde_json::from_str(text).unwrap();
     assert_eq!(cfg.pkt_count, 48);
     assert!(cfg.streaming);
+    assert!(cfg.slow_checkpoint, "the knob after the removed one still loads");
     assert_eq!(cfg.topa_region_bytes, 8192);
     cfg.validate();
-    // The fixture names exactly two keys the current config no longer has.
+    // The fixture names exactly three keys the current config no longer has.
     let back = serde_json::to_string(&cfg).unwrap();
-    assert_eq!(text.matches("\":").count(), back.matches("\":").count() + 2);
+    assert!(!back.contains("parallel_slow_path"));
+    assert_eq!(text.matches("\":").count(), back.matches("\":").count() + 3);
 }
 
 /// PR-3-era event: fast-path counters only, no slow-path or tier-0 words.

@@ -21,12 +21,6 @@ pub struct FlowGuardConfig {
     /// Cache negative slow-path results as fast-path high credits (§7.1.1:
     /// "makes the performance better and better").
     pub cache_slow_path_results: bool,
-    /// Fan the slow path's PSB-delimited shard decodes out on the shared
-    /// worker pool (§5.3: "with the help of packet stream boundary (PSB)
-    /// packets … this process can be done in parallel"). The sequential
-    /// stitch pass keeps the result bit-identical to a serial decode.
-    #[serde(default = "default_parallel_slow_path")]
-    pub parallel_slow_path: bool,
     /// Checkpoint the slow path's flow decode between escalations: when the
     /// next slow window extends the previous one, only the appended bytes
     /// are decoded (the flow machine and shadow stack park between checks,
@@ -104,10 +98,6 @@ pub struct FlowGuardConfig {
     pub topa_region_bytes: usize,
 }
 
-fn default_parallel_slow_path() -> bool {
-    true
-}
-
 fn default_slow_checkpoint() -> bool {
     true
 }
@@ -147,7 +137,6 @@ impl Default for FlowGuardConfig {
             cred_ratio: 1.0,
             require_module_stride: true,
             cache_slow_path_results: true,
-            parallel_slow_path: true,
             slow_checkpoint: true,
             streaming: false,
             consumer_thread: false,
@@ -204,7 +193,6 @@ mod tests {
         assert_eq!(c.cred_ratio, 1.0);
         assert!(c.require_module_stride);
         assert!(c.cache_slow_path_results);
-        assert!(c.parallel_slow_path);
         assert!(c.slow_checkpoint);
         assert!(!c.streaming, "streaming is opt-in; the paper's checks consume at endpoints");
         assert!(!c.consumer_thread, "the dedicated consumer rides on opt-in streaming");

@@ -137,6 +137,9 @@ pub struct FlowGuardEngine {
     drained_at_last_check: u64,
     scratch: CheckScratch,
     slow_scratch: slowpath::SlowScratch,
+    /// The escalation window `[window_start, total_written)`, copied out of
+    /// the ToPA segments (buffer reused across escalations).
+    slow_window: Vec<u8>,
     stats: Arc<EngineTelemetry>,
     /// Tier-0 entry-point bitset, probed ahead of the ITC edge lookup when
     /// [`FlowGuardConfig::tier0_bitset`] is on and the deployment ships one.
@@ -202,6 +205,7 @@ impl FlowGuardEngine {
             consumer,
             drained_at_last_check: 0,
             slow_scratch,
+            slow_window: Vec::new(),
             tier0: None,
             fleet: None,
         }
@@ -564,15 +568,22 @@ impl FlowGuardEngine {
         // --- slow path (the user-level decoder upcall) ----------------------
         // The slow path analyses a bounded recent region (the paper's §7.2.2
         // micro-benchmark measures it on "ranges of memory containing 100
-        // TIP packets"), not the whole buffer. Escalations are the rare,
-        // already-expensive path, so this is where the deferred
-        // linearization finally happens — fast-clean checks never paid it.
-        let bytes = ipt.trace_bytes();
+        // TIP packets"), not the whole buffer. Only that window is copied
+        // out of the ToPA segments; nothing else is linearised.
         let budget = (self.cfg.pkt_count * 110).max(2048);
-        let (_, win_off) = tail_window_at(&bytes, budget);
-        // Absolute stream offset of the window's first byte: the ToPA keeps
-        // the most recent `bytes.len()` of `total_written` stream bytes.
-        let buf_start = total_written.saturating_sub(bytes.len() as u64);
+        let retained = topa.retained_len();
+        // Absolute stream offset of the retained bytes' first byte: the
+        // ToPA keeps the most recent `retained` of `total_written` bytes.
+        let buf_start = total_written.saturating_sub(retained as u64);
+        // The tail window starts at the first PSB in the last `budget`
+        // retained bytes (at the oldest retained byte when there is none).
+        let win_off = if retained <= budget {
+            0
+        } else {
+            let from = retained - budget;
+            topa.chronological_tail_into(from, &mut self.slow_window);
+            fg_ipt::find_psb(&self.slow_window, 0).map_or(0, |off| from + off)
+        };
         let mut window_start = buf_start + win_off as u64;
         if !self.cfg.slow_checkpoint {
             self.slow_scratch.invalidate();
@@ -591,15 +602,16 @@ impl FlowGuardEngine {
                 window_start = start;
             }
         }
-        let slow_window = &bytes[(window_start - buf_start) as usize..];
-        let pool = self.cfg.parallel_slow_path.then(crate::pool::WorkerPool::global);
+        topa.chronological_tail_into((window_start - buf_start) as usize, &mut self.slow_window);
+        // Serial decode: at escalation window sizes (3.3 KiB cold, at most
+        // ~16 KiB) a worker-pool hand-off costs more than it saves.
         let slow = slowpath::check_incremental(
             &self.image,
             &self.ocfg,
-            slow_window,
+            &self.slow_window,
             window_start,
             &self.cost,
-            pool,
+            None,
             &mut self.slow_scratch,
         );
         ev.slow_cycles = slow.decode_cycles;
@@ -617,7 +629,7 @@ impl FlowGuardEngine {
                     format!("{v:?}"),
                     false,
                     slow_violation_edge(&v),
-                    &bytes,
+                    &ipt.trace_bytes(),
                 );
                 InterceptVerdict::Kill(SIGKILL)
             }
@@ -641,19 +653,12 @@ impl FlowGuardEngine {
 
 /// Picks a PSB-synchronised tail window of roughly `budget` bytes.
 fn tail_window(bytes: &[u8], budget: usize) -> &[u8] {
-    tail_window_at(bytes, budget).0
-}
-
-/// [`tail_window`], also returning the window's offset into `bytes` — the
-/// slow-path checkpoint keys on the window's absolute stream position.
-fn tail_window_at(bytes: &[u8], budget: usize) -> (&[u8], usize) {
     if bytes.len() <= budget {
-        return (bytes, 0);
+        return bytes;
     }
-    let mut p = fg_ipt::PacketParser::at(bytes, bytes.len() - budget);
-    match p.sync_forward() {
-        Some(off) => (&bytes[off..], off),
-        None => (bytes, 0), // no sync point in the tail: fall back to everything
+    match fg_ipt::find_psb(bytes, bytes.len() - budget) {
+        Some(off) => &bytes[off..],
+        None => bytes, // no sync point in the tail: fall back to everything
     }
 }
 

@@ -7,15 +7,23 @@
 //! single-target policy for the return branches."
 //!
 //! This is FlowGuard's dominant cost (§2 measures ~230× decode overhead),
-//! so the checker here attacks it twice:
+//! so the checker here attacks it three ways:
 //!
-//! * **PSB-sharded decode** — the window splits at its PSB sync points,
-//!   every shard decodes independently (fanned out on the
-//!   [`WorkerPool`](crate::pool::WorkerPool), each worker also pre-scanning
-//!   its shard's forward edges against the O-CFG), and a cheap sequential
-//!   stitch pass validates the seams and replays the call/ret events
-//!   through the shadow stack — bit-identical to a serial decode, at
-//!   roughly `1/min(shards, workers)` of the wall-clock.
+//! * **Straight-line stepping** — the [`FlowMachine`] walks the image's
+//!   predecoded code table a whole run of non-branching instructions at a
+//!   time, so the host cost follows the CoFIs, not the instruction count.
+//! * **PSB-sharded decode, for large buffers** — given a
+//!   [`WorkerPool`](crate::pool::WorkerPool), the window splits at its PSB
+//!   sync points, every shard decodes independently on a worker (which also
+//!   pre-scans the shard's forward edges against the O-CFG), and a cheap
+//!   sequential stitch pass validates the seams and replays the call/ret
+//!   events through the shadow stack — bit-identical to a serial decode.
+//!   The modeled critical path shrinks with the worker count, but the
+//!   hand-off has a fixed host cost: measured on a 2-core host, pooled
+//!   cold checks of escalation-sized windows (3.3 KiB cold, at most
+//!   ~16 KiB) have the worse tail at every size and lose at the median
+//!   below ~8 KiB. The engine therefore decodes serially, and the pool
+//!   serves multi-hundred-KiB decodes (`slowpath_bench`).
 //! * **Checkpointed re-decode avoidance** — consecutive endpoint checks
 //!   see overlapping tail windows. [`SlowScratch`] keeps the parked
 //!   [`FlowMachine`] and shadow stack between checks, keyed on the window's

@@ -16,6 +16,13 @@
 //! parked mid-walk can be compared against an independently decoded
 //! PSB-delimited shard (the sharded decoder in [`crate::shard`]).
 //! [`FlowDecoder::decode`] is the one-shot wrapper.
+//!
+//! The walk steps a whole straight-line run per iteration: the image's
+//! predecoded code table ([`Image::straight_line_at`]) gives, for every
+//! instruction, how many non-terminators follow it and which CoFI, `halt`
+//! or undecodable slot ends them, so each CoFI costs one table lookup and
+//! one packet decision. `insns_walked`, the branch events, park points and
+//! errors are exactly those of an instruction-at-a-time walk.
 
 use crate::decode::{PacketError, PacketParser};
 use crate::packet::{Packet, TntSeq};
@@ -161,6 +168,45 @@ impl TntCursor {
 /// Mirror depth of the hardware RET-compression return stack.
 const RETC_STACK_DEPTH: usize = 64;
 
+/// The mirrored RET-compression return stack: a fixed ring of
+/// [`RETC_STACK_DEPTH`] entries. A call onto a full stack overwrites the
+/// oldest entry, as the hardware's stack does.
+#[derive(Debug, Clone, Copy)]
+struct RetcStack {
+    slots: [u64; RETC_STACK_DEPTH],
+    /// Index the next push writes to.
+    top: usize,
+    len: usize,
+}
+
+impl Default for RetcStack {
+    fn default() -> RetcStack {
+        RetcStack { slots: [0; RETC_STACK_DEPTH], top: 0, len: 0 }
+    }
+}
+
+impl RetcStack {
+    fn push(&mut self, ret_to: u64) {
+        self.slots[self.top] = ret_to;
+        self.top = (self.top + 1) % RETC_STACK_DEPTH;
+        self.len = (self.len + 1).min(RETC_STACK_DEPTH);
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        self.top = (self.top + RETC_STACK_DEPTH - 1) % RETC_STACK_DEPTH;
+        Some(self.slots[self.top])
+    }
+
+    fn clear(&mut self) {
+        self.top = 0;
+        self.len = 0;
+    }
+}
+
 /// A resumable instruction-flow decoder.
 ///
 /// The machine holds the complete decode state — walker position, buffered
@@ -197,7 +243,7 @@ pub struct FlowMachine {
     saw_pgd: bool,
     // --- RET compression ---
     retc: bool,
-    call_stack: Vec<u64>,
+    call_stack: RetcStack,
     // --- shard metadata ---
     /// Whether any packet outcome (TNT bit, TIP, resume) was consumed.
     consumed_outcome: bool,
@@ -237,7 +283,7 @@ impl FlowMachine {
             saw_fup: false,
             saw_pgd: false,
             retc: ret_compression,
-            call_stack: Vec::new(),
+            call_stack: RetcStack::default(),
             consumed_outcome: false,
             first_outcome_from: None,
             prefix_insns: 0,
@@ -440,7 +486,17 @@ impl FlowMachine {
                 }
                 continue;
             }
-            let Some(insn) = image.insn_at(self.ip) else {
+            let Some(line) = image.straight_line_at(self.ip) else {
+                return Err(FlowError::BadIp { ip: self.ip });
+            };
+            if line.run > 0 {
+                // A straight-line run consumes no packets: step it whole.
+                debug_assert!(!self.parked, "the walker parks only at CoFIs");
+                self.trace.insns_walked += u64::from(line.run);
+                self.ip += u64::from(line.run) * INSN_SIZE;
+                self.trace.end_ip = self.ip;
+            }
+            let Some(insn) = line.stop else {
                 return Err(FlowError::BadIp { ip: self.ip });
             };
             if !self.parked {
@@ -456,7 +512,7 @@ impl FlowMachine {
                 }
                 Insn::Jmp { target } | Insn::Call { target } => {
                     if self.retc && matches!(insn, Insn::Call { .. }) {
-                        self.push_retc(next);
+                        self.call_stack.push(next);
                     }
                     self.emit(BranchEvent { from: self.ip, to: target, kind, taken: None });
                     self.ip = target;
@@ -475,7 +531,7 @@ impl FlowMachine {
                     match self.next_outcome(parser, Need::Tip)? {
                         Some(Outcome::Tip(to)) => {
                             if self.retc && matches!(insn, Insn::CallInd { .. }) {
-                                self.push_retc(next);
+                                self.call_stack.push(next);
                             }
                             self.note_outcome();
                             self.emit(BranchEvent { from: self.ip, to, kind, taken: None });
@@ -528,7 +584,7 @@ impl FlowMachine {
                     None => return self.park(),
                     Some(_) => unreachable!(),
                 },
-                _ => self.ip = next,
+                _ => unreachable!("non-terminators are stepped as runs"),
             }
             self.trace.end_ip = self.ip;
         }
@@ -541,13 +597,6 @@ impl FlowMachine {
         self.parked = true;
         self.trace.end_ip = self.ip;
         Ok(())
-    }
-
-    fn push_retc(&mut self, ret_to: u64) {
-        if self.call_stack.len() == RETC_STACK_DEPTH {
-            self.call_stack.remove(0);
-        }
-        self.call_stack.push(ret_to);
     }
 
     fn emit(&mut self, ev: BranchEvent) {
@@ -957,6 +1006,64 @@ mod tests {
         let serial = FlowDecoder::new(&img).decode(&full).unwrap();
         assert_eq!(m.trace(), &serial);
         assert!(m.trace().insns_walked > walked_at_park);
+    }
+
+    #[test]
+    fn retc_ring_matches_a_front_evicting_vec() {
+        // Pushes past the 64-deep limit and pops past empty, against the
+        // `Vec::remove(0)` eviction the ring replaced.
+        let mut ring = RetcStack::default();
+        let mut want: Vec<u64> = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Phases of push-heavy and pop-heavy traffic, so the stack both
+            // overflows and drains.
+            let pop_bias = if (i / 500) % 2 == 0 { 4 } else { 1 };
+            if x % 6 < pop_bias {
+                assert_eq!(ring.pop(), want.pop());
+            } else {
+                if want.len() == RETC_STACK_DEPTH {
+                    want.remove(0);
+                }
+                want.push(i);
+                ring.push(i);
+            }
+            assert_eq!(ring.len, want.len());
+        }
+        while let Some(v) = want.pop() {
+            assert_eq!(ring.pop(), Some(v));
+        }
+        assert_eq!(ring.pop(), None);
+    }
+
+    #[test]
+    fn straight_line_runs_walk_like_single_steps() {
+        // A run that ends at the executable portion's end: the walk must
+        // count every instruction and fail at exactly the first non-code
+        // address, as a one-instruction-at-a-time walk does.
+        let mut a = Asm::new("app");
+        a.export("main");
+        a.label("main");
+        a.movi(R0, 1); // +0
+        a.movi(R1, 2); // +8
+        a.jmp("tail"); // +16
+        a.halt(); // +24
+        a.label("tail");
+        a.movi(R2, 3); // +32
+        a.movi(R3, 4); // +40
+        let img = Linker::new(a.finish().unwrap()).link().unwrap();
+        let base = img.entry();
+        let mut enc = PacketEncoder::new(Vec::new());
+        enc.psb_plus(Some(base), None);
+        let mut m = FlowMachine::new(false);
+        let err = m.feed(&img, &enc.into_sink()).unwrap_err();
+        assert_eq!(err, FlowError::BadIp { ip: base + 48 });
+        assert_eq!(m.trace().insns_walked, 5);
+        assert_eq!(m.trace().end_ip, base + 48);
+        assert_eq!(m.trace().branches.len(), 1);
     }
 
     #[test]

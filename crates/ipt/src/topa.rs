@@ -227,9 +227,23 @@ impl Topa {
     /// [`Topa::chronological`] into a caller-reused buffer (cleared first),
     /// so repeat linearisations don't reallocate.
     pub fn chronological_into(&self, out: &mut Vec<u8>) {
+        self.chronological_tail_into(0, out);
+    }
+
+    /// The retained bytes from chronological offset `from` on (the
+    /// suffix `chronological()[from..]`) into a caller-reused buffer
+    /// (cleared first). Copies only the suffix: the slow path's escalation
+    /// window without linearising the whole ToPA.
+    pub fn chronological_tail_into(&self, from: usize, out: &mut Vec<u8>) {
         out.clear();
+        let mut skip = from;
         for p in self.segments() {
-            out.extend_from_slice(p);
+            if skip >= p.len() {
+                skip -= p.len();
+                continue;
+            }
+            out.extend_from_slice(&p[skip..]);
+            skip = 0;
         }
     }
 
@@ -408,6 +422,31 @@ mod tests {
         t.chronological_into(&mut buf);
         assert_eq!(buf.capacity(), cap, "repeat linearisation must not reallocate");
         assert_eq!(*buf.last().unwrap(), 8);
+    }
+
+    #[test]
+    fn chronological_tail_is_the_linearised_suffix() {
+        let mut t = Topa::new(vec![
+            TopaRegion::new(4096, TopaFlags::default()),
+            TopaRegion::new(4096, TopaFlags::default()),
+            TopaRegion::new(4096, TopaFlags::default()),
+        ])
+        .unwrap();
+        let mut buf = Vec::new();
+        // Unwrapped, across a region seam, and wrapped (the current region
+        // holds only its fresh prefix).
+        for step in [1000usize, 4000, 4096, 3000, 2500] {
+            let fill: Vec<u8> = (0..step).map(|i| (i * 7 + step) as u8).collect();
+            t.write_packet(&fill);
+            let all = t.chronological();
+            for from in
+                [0, 1, 4095, 4096, 4097, all.len() / 2, all.len() - 1, all.len(), all.len() + 9]
+            {
+                t.chronological_tail_into(from, &mut buf);
+                assert_eq!(buf, all.get(from..).unwrap_or(&[]), "from {from}");
+            }
+        }
+        assert!(t.has_wrapped());
     }
 
     #[test]

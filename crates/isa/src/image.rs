@@ -16,8 +16,9 @@
 
 use crate::insn::{Insn, INSN_SIZE};
 use crate::module::{Module, Reloc};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Default base address of the executable module.
 pub const EXEC_BASE: u64 = 0x0040_0000;
@@ -137,13 +138,157 @@ impl LoadedModule {
 ///
 /// The image is immutable: processes copy its segments into their address
 /// space at startup. All code introspection used by the static analyser and
-/// the slow-path decoder (`insn_at`, `module_containing`) goes through the
-/// *encoded bytes*, so analysis operates on the real binary just as Dyninst
-/// does in the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the slow-path decoder (`insn_at`, `straight_line_at`, `module_containing`)
+/// goes through the *encoded bytes*, so analysis operates on the real
+/// binary just as Dyninst does in the paper. The bytes are decoded once,
+/// when the image is linked or loaded, into a code table that every clone
+/// of the image shares.
+#[derive(Debug, Clone)]
 pub struct Image {
     modules: Vec<LoadedModule>,
     entry: u64,
+    code: Arc<CodeTable>,
+}
+
+/// One predecoded instruction slot.
+#[derive(Debug, Clone, Copy)]
+struct CodeSlot {
+    /// The instruction, or `None` when the slot's bytes are not a valid
+    /// encoding.
+    insn: Option<Insn>,
+    /// Length of the straight-line run starting here: the consecutive
+    /// decodable non-terminator instructions (no CoFI, no `halt`) from this
+    /// slot on, within the module. Zero at a terminator or an undecodable
+    /// slot.
+    run: u32,
+}
+
+/// One module's share of the code table.
+#[derive(Debug, Clone, Copy)]
+struct CodeSpan {
+    base: u64,
+    /// End of the module's address range.
+    end: u64,
+    /// End of its executable portion.
+    exec_end: u64,
+    /// Index of its first slot.
+    first: usize,
+}
+
+/// The image's executable portions, decoded once: one slot per
+/// instruction-aligned address of every module's code + PLT, then one
+/// empty sentinel slot, so a run's stop slot is always in the table.
+struct CodeTable {
+    /// The modules, by ascending base.
+    spans: Vec<CodeSpan>,
+    slots: Vec<CodeSlot>,
+    /// Per [`GRANULE_SHIFT`]-aligned granule of the address space up to
+    /// the highest module end (at most [`VA_LIMIT`]): how many modules
+    /// start strictly below the granule. A lookup starts its module search
+    /// there instead of searching all modules.
+    granule_below: Vec<u32>,
+}
+
+/// Granule size of the code table's module index (16 MiB, the linker's
+/// library stride: a granule rarely holds more than one module start).
+const GRANULE_SHIFT: u32 = 24;
+
+impl fmt::Debug for CodeTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CodeTable")
+            .field("modules", &self.spans.len())
+            .field("slots", &self.slots.len())
+            .finish()
+    }
+}
+
+impl CodeTable {
+    fn build(modules: &[LoadedModule]) -> CodeTable {
+        let mut spans = Vec::with_capacity(modules.len());
+        let mut slots = Vec::new();
+        for m in modules {
+            let first = slots.len();
+            spans.push(CodeSpan { base: m.base, end: m.end(), exec_end: m.exec_end, first });
+            let mut va = m.base;
+            while va < m.exec_end.min(m.end()) {
+                let off = (va - m.base) as usize;
+                let insn = m
+                    .bytes
+                    .get(off..off + INSN_SIZE as usize)
+                    .and_then(|b| Insn::decode(b.try_into().ok()?, va).ok());
+                slots.push(CodeSlot { insn, run: 0 });
+                va += INSN_SIZE;
+            }
+            slots.push(CodeSlot { insn: None, run: 0 });
+            // Runs, back to front: a non-terminator extends the run after it.
+            let mut next = 0u32;
+            for s in slots[first..].iter_mut().rev() {
+                next = match s.insn {
+                    Some(i) if !i.is_terminator() => next + 1,
+                    _ => 0,
+                };
+                s.run = next;
+            }
+        }
+        // The linker never overlaps modules, so the module containing an
+        // address is the last one starting at or below it.
+        spans.sort_unstable_by_key(|s| s.base);
+        let top = spans.iter().map(|s| s.end).max().unwrap_or(0).min(VA_LIMIT);
+        let granule_below = (0..=top >> GRANULE_SHIFT)
+            .map(|g| {
+                let below = spans.partition_point(|s| s.base < g << GRANULE_SHIFT);
+                u32::try_from(below).expect("module count fits in u32")
+            })
+            .collect();
+        CodeTable { spans, slots, granule_below }
+    }
+
+    /// Index of the slot holding `va`, if `va` is an instruction-aligned
+    /// address inside some module's executable portion.
+    #[inline]
+    fn index(&self, va: u64) -> Option<usize> {
+        // Modules starting below va's granule, plus those starting inside
+        // it at or below va.
+        let mut below = match self.granule_below.get((va >> GRANULE_SHIFT) as usize) {
+            Some(&n) => n as usize,
+            None => self.spans.partition_point(|s| s.base <= va),
+        };
+        while self.spans.get(below).is_some_and(|s| s.base <= va) {
+            below += 1;
+        }
+        let s = self.spans.get(below.checked_sub(1)?)?;
+        if va >= s.end || va >= s.exec_end || !(va - s.base).is_multiple_of(INSN_SIZE) {
+            return None;
+        }
+        Some(s.first + ((va - s.base) / INSN_SIZE) as usize)
+    }
+}
+
+/// The straight-line run at an address: see [`Image::straight_line_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StraightLine {
+    /// Decodable non-terminator instructions from the start address on.
+    pub run: u32,
+    /// The instruction right after them, at `start + run * INSN_SIZE`: a
+    /// CoFI or `halt`, or `None` when that address holds no decodable
+    /// instruction of the same module's executable portion.
+    pub stop: Option<Insn>,
+}
+
+impl Serialize for Image {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("modules".to_string(), self.modules.to_value()),
+            ("entry".to_string(), self.entry.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Image {
+    fn from_value(v: &Value) -> Result<Image, DeError> {
+        let o = serde::expect_object(v, "Image")?;
+        Ok(Image::new(serde::field(o, "modules")?, serde::field(o, "entry")?))
+    }
 }
 
 /// A contiguous initial-memory segment of the image.
@@ -158,6 +303,12 @@ pub struct Segment<'a> {
 }
 
 impl Image {
+    /// Assembles an image from placed modules, decoding the code table.
+    fn new(modules: Vec<LoadedModule>, entry: u64) -> Image {
+        let code = Arc::new(CodeTable::build(&modules));
+        Image { modules, entry, code }
+    }
+
     /// The program entry point.
     pub fn entry(&self) -> u64 {
         self.entry
@@ -203,13 +354,24 @@ impl Image {
     ///
     /// Returns `None` if `va` is unmapped, not in an executable portion, or
     /// not instruction-aligned.
+    #[inline]
     pub fn insn_at(&self, va: u64) -> Option<Insn> {
-        let m = self.module_containing(va)?;
-        if !m.contains_code(va) || !(va - m.base).is_multiple_of(INSN_SIZE) {
-            return None;
-        }
-        let bytes: [u8; 8] = self.read_bytes(va, 8)?.try_into().ok()?;
-        Insn::decode(bytes, va).ok()
+        self.code.slots[self.code.index(va)?].insn
+    }
+
+    /// The straight-line run starting at `va`: how many instructions from
+    /// `va` on can be stepped without meeting a CoFI, a `halt` or an
+    /// undecodable slot, and the instruction that ends the run. `None`
+    /// when `va` itself holds no decodable instruction (as
+    /// [`Image::insn_at`]). A run never leaves its module's executable
+    /// portion; when `va` is a terminator the run is empty and `stop` is
+    /// that instruction.
+    #[inline]
+    pub fn straight_line_at(&self, va: u64) -> Option<StraightLine> {
+        let i = self.code.index(va)?;
+        let s = self.code.slots[i];
+        s.insn?;
+        Some(StraightLine { run: s.run, stop: self.code.slots[i + s.run as usize].insn })
     }
 
     /// Whether `va` is a decodable instruction address: mapped, inside an
@@ -479,7 +641,7 @@ impl Linker {
             .export(&self.entry_sym)
             .ok_or(LinkError::NoEntry { sym: self.entry_sym.clone() })?;
 
-        Ok(Image { modules: loaded, entry })
+        Ok(Image::new(loaded, entry))
     }
 }
 

@@ -54,6 +54,6 @@ pub mod insn;
 pub mod module;
 
 pub use asm::Asm;
-pub use image::{Image, Linker, LoadedModule, ModuleKind};
+pub use image::{Image, Linker, LoadedModule, ModuleKind, StraightLine};
 pub use insn::{AluOp, CofiKind, Cond, Insn, Reg, Width, INSN_SIZE};
 pub use module::Module;
